@@ -1,13 +1,13 @@
 //! `repro bench` — recorded performance baselines.
 //!
-//! Five benchmark families run back to back:
+//! Three benchmark families run back to back:
 //!
 //! * **Event core** (`BENCH_PR3.json`) — steps canonical open- and
 //!   closed-loop scenarios at several server / client scales through the
-//!   *same* generic driver, once with the indexed [`ServiceNode`]
-//!   (+ [`ThinkPool`]) and once with the frozen pre-PR3 linear-scan
-//!   implementation ([`ReferenceNode`] + [`ReferenceThinkPool`]), and
-//!   reports events/sec and intervals/sec for both.
+//!   *same* generic driver, once with the production [`ServiceNode`]
+//!   (+ [`ThinkPool`]) and once with the linear-scan oracles
+//!   ([`ReferenceNode`] + [`ReferenceThinkPool`]), and reports
+//!   events/sec and intervals/sec for both.
 //! * **Control plane + fleet scheduling** (`BENCH_PR4.json`) —
 //!   `control/qpath/*` cells drive the interval-granularity control
 //!   kernel (bucketize → Q-update → argmax → rank) through the dense
@@ -16,26 +16,6 @@
 //!   fig. 2/3-style (configuration × load) sweep at 64/256/1024 scenarios
 //!   through the work-stealing [`Fleet`] and a static-partition
 //!   baseline scheduler, recording wall time and per-worker idle tails.
-//! * **Dispatch at scale** (`BENCH_PR5.json`) — `open/memcached/*` cells
-//!   at 64/256/1024 servers plus a DVFS-churn cell drive the frozen PR 5
-//!   speed-class-bitmap node ([`PackedHeapNode`]) against the frozen
-//!   PR 3/4-era free-server max-heap node ([`HeapNode`]) — both frozen,
-//!   so the PR 5 floors pin the PR 5 dispatch artifact rather than
-//!   whatever event core the production node carries today — proving
-//!   per-event cost stays flat in machine size (s1024 within 1.3× of
-//!   s64) and enforcing the ≥1.5× speedup floor at 256 servers when
-//!   recording a full (non-smoke) run.
-//! * **Calendar-queue event core** (`BENCH_PR6.json`) — the calendar-backed
-//!   [`ServiceNode`] + [`ThinkPool`] vs the frozen PR 5 packed-`u128`
-//!   binary heaps ([`PackedHeapNode`] + [`HeapThinkPool`]) on identical
-//!   pre-generated streams: the largest open-loop machine (s1024, Poisson
-//!   and two-state MMPP bursty arrivals) plus closed-loop populations at
-//!   c1024/c4096. Each cell records two races — the end-to-end node
-//!   replay, and an event-core *op-trace* replay (`CoreOp`) that times
-//!   just the queue layer on the exact op sequence the cell's simulation
-//!   issued. Full runs enforce a ≥1.3× core-race floor at c4096, a ≥1.0×
-//!   end-to-end no-regression floor, and a flat (≤1.3×) c1024→c4096
-//!   events/sec ratio.
 //! * **Cluster dispatch at scale** (`BENCH_PR7.json`) —
 //!   `cluster/dispatch/*` cells race the node-class-bitmap cluster
 //!   dispatcher ([`BitmapDispatcher`](hipster_core::cluster::BitmapDispatcher))
@@ -62,7 +42,6 @@
 //! run to cells whose name starts with the prefix (a JSON file is only
 //! rewritten when at least one of its cells ran).
 
-use std::cell::RefCell;
 use std::time::Instant;
 
 use hipster_core::reference::{run_static_chunked, ReferenceQTable};
@@ -74,17 +53,11 @@ use crate::experiments::cluster;
 use crate::runner::{heuristic_mapper, hipster_in, static_all_big, static_all_small, Workload};
 use hipster_platform::{power_ladder, CoreConfig, CoreKind, Frequency, Platform};
 use hipster_sim::dist::Exponential;
-use hipster_sim::reference::{
-    HeapNode, HeapThinkPool, PackedHeap, PackedHeapNode, ReferenceNode, ReferenceThinkPool,
-};
+use hipster_sim::reference::{ReferenceNode, ReferenceThinkPool};
 use hipster_sim::{
-    CalendarQueue, CompletionQueue, Demand, LcModel, NodeInterval, QueuedNode, Sampler, ServerSpec,
-    ServiceNode, SimRng, ThinkPool,
+    Demand, LcModel, NodeInterval, Sampler, ServerSpec, ServiceNode, SimRng, ThinkPool,
 };
-use hipster_workloads::{
-    memcached, web_search, Constant, LcWorkload, MmppStream, MMPP_BURST_FACTOR, MMPP_CALM_FACTOR,
-    MMPP_DUTY,
-};
+use hipster_workloads::{memcached, web_search, Constant, LcWorkload};
 
 /// Tail percentile used by every bench interval (Memcached's QoS point).
 const TAIL_P: f64 = 0.95;
@@ -94,7 +67,7 @@ const TAIL_P: f64 = 0.95;
 const UTILIZATION: f64 = 0.8;
 
 /// The queueing-node API surface the bench driver needs, implemented by
-/// both the production node and the frozen reference.
+/// both the production node and the reference oracle.
 trait EventNode {
     fn reconfigure(&mut self, now: f64, specs: &[ServerSpec], preempt: bool, stall_s: f64);
     fn begin_interval(&mut self, t: f64);
@@ -105,54 +78,27 @@ trait EventNode {
     fn end_interval(&mut self, t_end: f64, p: f64) -> NodeInterval;
 }
 
-// One blanket impl covers the production node (`ServiceNode`, calendar
-// queue) and the frozen-heap node (`PackedHeapNode`) — the PR 6 cells race
-// the same node body over the two completion indices.
-impl<Q: CompletionQueue> EventNode for QueuedNode<Q> {
+impl EventNode for ServiceNode {
     fn reconfigure(&mut self, now: f64, specs: &[ServerSpec], preempt: bool, stall_s: f64) {
-        QueuedNode::reconfigure(self, now, specs, preempt, stall_s);
+        ServiceNode::reconfigure(self, now, specs, preempt, stall_s);
     }
     fn begin_interval(&mut self, t: f64) {
-        QueuedNode::begin_interval(self, t);
+        ServiceNode::begin_interval(self, t);
     }
     fn arrive(&mut self, now: f64, demand: Demand) {
-        QueuedNode::arrive(self, now, demand);
+        ServiceNode::arrive(self, now, demand);
     }
     fn next_completion(&self) -> Option<f64> {
-        QueuedNode::next_completion(self)
+        ServiceNode::next_completion(self)
     }
     fn advance(&mut self, to: f64) {
-        QueuedNode::advance(self, to);
+        ServiceNode::advance(self, to);
     }
     fn advance_collect(&mut self, to: f64, out: &mut Vec<f64>) {
-        QueuedNode::advance_collect(self, to, out);
+        ServiceNode::advance_collect(self, to, out);
     }
     fn end_interval(&mut self, t_end: f64, p: f64) -> NodeInterval {
-        QueuedNode::end_interval(self, t_end, p)
-    }
-}
-
-impl EventNode for HeapNode {
-    fn reconfigure(&mut self, now: f64, specs: &[ServerSpec], preempt: bool, stall_s: f64) {
-        HeapNode::reconfigure(self, now, specs, preempt, stall_s);
-    }
-    fn begin_interval(&mut self, t: f64) {
-        HeapNode::begin_interval(self, t);
-    }
-    fn arrive(&mut self, now: f64, demand: Demand) {
-        HeapNode::arrive(self, now, demand);
-    }
-    fn next_completion(&self) -> Option<f64> {
-        HeapNode::next_completion(self)
-    }
-    fn advance(&mut self, to: f64) {
-        HeapNode::advance(self, to);
-    }
-    fn advance_collect(&mut self, to: f64, out: &mut Vec<f64>) {
-        HeapNode::advance_collect(self, to, out);
-    }
-    fn end_interval(&mut self, t_end: f64, p: f64) -> NodeInterval {
-        HeapNode::end_interval(self, t_end, p)
+        ServiceNode::end_interval(self, t_end, p)
     }
 }
 
@@ -200,21 +146,6 @@ impl Pool for ThinkPool {
     }
     fn len(&self) -> usize {
         ThinkPool::len(self)
-    }
-}
-
-impl Pool for HeapThinkPool {
-    fn push(&mut self, expiry: f64) {
-        HeapThinkPool::push(self, expiry);
-    }
-    fn peek_min(&self) -> Option<f64> {
-        HeapThinkPool::peek_min(self)
-    }
-    fn pop_min(&mut self) -> Option<f64> {
-        HeapThinkPool::pop_min(self)
-    }
-    fn len(&self) -> usize {
-        HeapThinkPool::len(self)
     }
 }
 
@@ -433,46 +364,6 @@ struct Cell {
     intervals: usize,
     new: Measured,
     reference: Measured,
-    /// Event-core op-trace race (PR 6 cells only): the same cell timed at
-    /// the queue layer, replaying the exact op sequence the simulation
-    /// issued against each queue implementation.
-    core: Option<CoreRace>,
-}
-
-/// Both implementations' timings over one cell's recorded event-core op
-/// trace (see [`CoreOp`]): the queue layer isolated from the node work
-/// (dispatch, latency recording, interval accounting) that both
-/// implementations share.
-struct CoreRace {
-    ops: usize,
-    new_wall_s: f64,
-    ref_wall_s: f64,
-}
-
-impl CoreRace {
-    fn ns_per_op(&self, wall_s: f64) -> f64 {
-        wall_s * 1e9 / (self.ops as f64).max(1.0)
-    }
-
-    fn speedup(&self) -> f64 {
-        self.ref_wall_s / self.new_wall_s.max(1e-12)
-    }
-
-    fn json(&self) -> String {
-        format!(
-            concat!(
-                "\"core\":{{\"ops\":{},\"wall_s\":{:.6},\"ns_per_op\":{:.2},",
-                "\"reference\":{{\"wall_s\":{:.6},\"ns_per_op\":{:.2}}},",
-                "\"speedup\":{:.2}}}"
-            ),
-            self.ops,
-            self.new_wall_s,
-            self.ns_per_op(self.new_wall_s),
-            self.ref_wall_s,
-            self.ns_per_op(self.ref_wall_s),
-            self.speedup(),
-        )
-    }
 }
 
 impl Cell {
@@ -481,7 +372,7 @@ impl Cell {
     }
 
     fn json(&self) -> String {
-        let mut s = format!(
+        format!(
             concat!(
                 "{{\"name\":\"{}\",\"mode\":\"{}\",\"servers\":{},\"clients\":{},",
                 "\"offered_rps\":{:.1},\"interval_s\":{},\"intervals\":{},",
@@ -507,21 +398,14 @@ impl Cell {
             self.reference.events_per_sec(),
             self.reference.intervals_per_sec(),
             self.speedup(),
-        );
-        if let Some(core) = &self.core {
-            s.pop(); // re-open the object to append the core race
-            s.push(',');
-            s.push_str(&core.json());
-            s.push('}');
-        }
-        s
+        )
     }
 }
 
 fn check_equivalence(name: &str, new: &Measured, reference: &Measured) {
     assert_eq!(
         new.checksum, reference.checksum,
-        "{name}: heap-indexed and reference implementations diverged — \
+        "{name}: production and reference implementations diverged — \
          the bench drove two different simulations"
     );
 }
@@ -532,8 +416,7 @@ fn selected(only: Option<&str>, name: &str) -> bool {
 }
 
 /// Runs the bench matrices, writing `BENCH_PR3.json` (event core),
-/// `BENCH_PR4.json` (control plane + fleet scheduling), `BENCH_PR5.json`
-/// (dispatch at scale), `BENCH_PR6.json` (calendar-queue event core) and
+/// `BENCH_PR4.json` (control plane + fleet scheduling) and
 /// `BENCH_PR7.json` (cluster dispatch at scale). With `smoke`, runs the
 /// same cells over fewer simulated intervals (seconds, for CI). With
 /// `only`, runs just the cells whose name starts with the prefix; a JSON
@@ -541,8 +424,6 @@ fn selected(only: Option<&str>, name: &str) -> bool {
 pub fn run(smoke: bool, only: Option<&str>) {
     run_event_core(smoke, only);
     run_control_plane(smoke, only);
-    run_dispatch_scale(smoke, only);
-    run_calendar_scale(smoke, only);
     run_cluster_scale(smoke, only);
 }
 
@@ -605,7 +486,6 @@ fn run_event_core(smoke: bool, only: Option<&str>) {
             intervals: open_intervals,
             new,
             reference,
-            core: None,
         });
     }
 
@@ -664,7 +544,6 @@ fn run_event_core(smoke: bool, only: Option<&str>) {
             intervals: closed_intervals,
             new,
             reference,
-            core: None,
         });
     }
 
@@ -1095,1204 +974,6 @@ fn run_control_plane(smoke: bool, only: Option<&str>) {
     }
 }
 
-// ---------------------------------------------------------------------
-// PR5: dispatch-at-scale cells → BENCH_PR5.json
-// ---------------------------------------------------------------------
-
-/// Multiplicative DVFS ladder the churn cell cycles through, one step per
-/// monitoring interval (every step changes every server's effective speed,
-/// forcing a speed-class-table rebuild / free-heap rebuild per interval).
-const DVFS_CHURN_STEPS: &[f64] = &[1.0, 0.85, 0.7, 0.85];
-
-/// DVFS transition stall of the churn cell, seconds (a slice of the
-/// interval, so arrivals land inside the stall window and exercise the
-/// demote/promote path).
-const DVFS_CHURN_STALL_S: f64 = 2e-4;
-
-/// Timed passes per PR5 cell; the best pass is recorded (the cells time
-/// the event core only, and a single pass on a shared runner is noisy).
-const PR5_REPS: usize = 5;
-
-/// Pre-generates the open-loop arrival stream one interval at a time —
-/// the same RNG draw sequence as [`drive_open`], but outside the timed
-/// region, so the PR5 cells measure the event core rather than the
-/// workload sampler (the same hoist the PR4 control cells make with
-/// [`control_inputs`]).
-struct OpenStreamGen<'m> {
-    model: &'m LcWorkload,
-    arrival_rng: SimRng,
-    demand_rng: SimRng,
-    iat: Exponential,
-    next_arrival: f64,
-}
-
-/// An open-loop arrival-stream generator the replay driver consumes one
-/// interval at a time (outside the timed region).
-trait ArrivalStream {
-    /// Fills `out` with every `(arrival time, demand)` of the interval
-    /// ending at `t_end` (bursts flattened; all requests of a burst share
-    /// the burst's arrival time, exactly as the inline driver delivers
-    /// them). An arrival landing on `t_end` is deferred to the next
-    /// interval, as the inline driver's `t >= t_end` break does.
-    fn gen_interval(&mut self, t_end: f64, out: &mut Vec<(f64, Demand)>);
-}
-
-impl<'m> OpenStreamGen<'m> {
-    fn new(model: &'m LcWorkload, rate_rps: f64, seed: u64) -> Self {
-        let mut arrival_rng = SimRng::seed(seed);
-        let iat = Exponential::new(rate_rps / model.mean_burst().max(1.0));
-        let next_arrival = iat.sample(&mut arrival_rng);
-        OpenStreamGen {
-            model,
-            arrival_rng,
-            demand_rng: SimRng::seed(seed ^ 0x9e3779b97f4a7c15),
-            iat,
-            next_arrival,
-        }
-    }
-}
-
-impl ArrivalStream for OpenStreamGen<'_> {
-    fn gen_interval(&mut self, t_end: f64, out: &mut Vec<(f64, Demand)>) {
-        out.clear();
-        while self.next_arrival < t_end {
-            let t = self.next_arrival;
-            let burst = self.model.sample_burst(&mut self.demand_rng).max(1);
-            for _ in 0..burst {
-                out.push((t, self.model.sample_demand(&mut self.demand_rng)));
-            }
-            self.next_arrival = t + self.iat.sample(&mut self.arrival_rng);
-        }
-    }
-}
-
-/// The MMPP bursty stream (CloudCoaster's regime) now lives in
-/// `hipster_workloads` ([`MmppStream`]), promoted so cluster and
-/// single-node scenarios share one source; the bench keeps only this
-/// delegating adapter. Events clump hard inside bursts (many per
-/// calendar bucket) and thin out between them (empty-bucket skips),
-/// which is exactly the regime the `open/memcached-mmpp/*` cell pins.
-impl ArrivalStream for MmppStream<'_> {
-    fn gen_interval(&mut self, t_end: f64, out: &mut Vec<(f64, Demand)>) {
-        self.fill_interval(t_end, out);
-    }
-}
-
-/// One timed pass of the PR5 open-loop replay: identical event delivery to
-/// [`drive_open`] (same completion-vs-arrival precedence, same boundary
-/// semantics), but consuming a pre-generated arrival stream. When
-/// `dvfs_specs` is non-empty, every interval boundary after the first
-/// applies the next ladder step as a DVFS-style rescale (no preemption,
-/// [`DVFS_CHURN_STALL_S`] stall) *inside* the timed region — per-interval
-/// reconfiguration cost is exactly what the churn cell measures.
-fn replay_open<N: EventNode, G: ArrivalStream>(
-    node: &mut N,
-    specs: &[ServerSpec],
-    dvfs_specs: &[Vec<ServerSpec>],
-    gen: &mut G,
-    buf: &mut Vec<(f64, Demand)>,
-    interval_s: f64,
-    intervals: usize,
-) -> Measured {
-    node.reconfigure(0.0, specs, true, 0.0);
-    let mut now = 0.0f64;
-    let mut wall_s = 0.0f64;
-    let mut checksum = Vec::with_capacity(intervals);
-    let mut events = 0u64;
-    for iv_idx in 0..intervals {
-        let t_end = now + interval_s;
-        gen.gen_interval(t_end, buf);
-        let start = Instant::now();
-        node.begin_interval(now);
-        if iv_idx > 0 && !dvfs_specs.is_empty() {
-            node.reconfigure(
-                now,
-                &dvfs_specs[iv_idx % dvfs_specs.len()],
-                false,
-                DVFS_CHURN_STALL_S,
-            );
-        }
-        let mut i = 0;
-        loop {
-            let a = if i < buf.len() {
-                buf[i].0
-            } else {
-                f64::INFINITY
-            };
-            let t = match node.next_completion() {
-                Some(tc) if tc < a => tc.min(t_end),
-                _ => a.min(t_end),
-            };
-            node.advance(t);
-            if t >= t_end {
-                break;
-            }
-            if t == a {
-                while i < buf.len() && buf[i].0 == t {
-                    node.arrive(t, buf[i].1);
-                    i += 1;
-                }
-            }
-        }
-        let iv = node.end_interval(t_end, TAIL_P);
-        wall_s += start.elapsed().as_secs_f64();
-        now = t_end;
-        events += (iv.arrivals + iv.completions + iv.timeouts) as u64;
-        checksum.push((
-            iv.arrivals,
-            iv.completions,
-            iv.timeouts,
-            iv.tail_latency_s.to_bits(),
-        ));
-    }
-    Measured {
-        events,
-        intervals,
-        wall_s,
-        checksum,
-    }
-}
-
-/// Folds one more timed pass into the best-so-far slot (streams and event
-/// sequences are deterministic, so every pass of a cell must produce the
-/// same checksum).
-fn keep_best(best: &mut Option<Measured>, m: Measured) {
-    *best = Some(match best.take() {
-        Some(b) => {
-            assert_eq!(b.checksum, m.checksum, "nondeterministic replay");
-            if b.wall_s <= m.wall_s {
-                b
-            } else {
-                m
-            }
-        }
-        None => m,
-    });
-}
-
-/// Mean offered capacity (requests/sec) of a churn spec ladder: the
-/// average over its steps of the sum of per-server service rates. The
-/// churn cell offers [`UTILIZATION`] × this, so the system stays in the
-/// same load regime as the plain cells while speeds move underneath it.
-fn ladder_capacity_rps(model: &LcWorkload, ladder: &[Vec<ServerSpec>]) -> f64 {
-    let mut rng = SimRng::seed(7);
-    let n = 20_000;
-    let (mut work, mut mem) = (0.0f64, 0.0f64);
-    for _ in 0..n {
-        let d = model.sample_demand(&mut rng);
-        work += d.work;
-        mem += d.mem_s;
-    }
-    let (work, mem) = (work / n as f64, mem / n as f64);
-    let total: f64 = ladder
-        .iter()
-        .map(|specs| {
-            specs
-                .iter()
-                .map(|s| 1.0 / ((work / s.speed + mem) * s.slowdown))
-                .sum::<f64>()
-        })
-        .sum();
-    total / ladder.len() as f64
-}
-
-/// The churn cell's per-interval spec ladder: every step rescales all
-/// servers (half of them 25% slower, so each interval has two speed
-/// classes and dispatch exercises the class order).
-fn dvfs_spec_ladder(base: &[ServerSpec]) -> Vec<Vec<ServerSpec>> {
-    DVFS_CHURN_STEPS
-        .iter()
-        .map(|&step| {
-            base.iter()
-                .enumerate()
-                .map(|(i, s)| {
-                    let hetero = if i % 2 == 0 { 1.0 } else { 0.75 };
-                    ServerSpec {
-                        speed: s.speed * step * hetero,
-                        ..*s
-                    }
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// The PR5 dispatch-at-scale matrix → `BENCH_PR5.json`: the frozen PR 5
-/// node ([`PackedHeapNode`] — speed-class bitmap dispatch + packed-`u128`
-/// heap) vs the frozen PR 3/4 free-server max-heap [`HeapNode`] on
-/// identical streams (digest-compared; panics on divergence).
-///
-/// Both sides are frozen on purpose: the matrix pins the *PR 5 artifact*
-/// (O(1) speed-class dispatch), so its floors must not drift when a later
-/// PR swaps the event core out from under the production node — PR 6 did
-/// exactly that, and the current node's own scaling is tracked by the
-/// PR 6 matrix (`BENCH_PR6.json`) instead.
-///
-/// When recording a full (non-smoke, unfiltered) run, enforces the PR 5
-/// floors: ≥1.5× events/sec at 256 servers, and s1024 per-event throughput
-/// within 1.3× of s64 (flat dispatch cost in machine size).
-fn run_dispatch_scale(smoke: bool, only: Option<&str>) {
-    let model = memcached();
-    let t_mean = mean_service_s(&model);
-    // Interval length scales inversely with the server count (same total
-    // simulated time per cell), holding the per-interval completion batch
-    // — and with it the recorder's percentile pass and sample-buffer
-    // footprint — constant across scales, so the cells compare the
-    // *event path* at different machine sizes rather than increasingly
-    // cache-hostile end-of-interval batches.
-    let cell_shape = |servers: usize| {
-        assert!(
-            servers >= 64 && servers % 64 == 0,
-            "PR5 cells scale from the 64-server shape: got {servers}"
-        );
-        let scale = servers / 64;
-        let intervals = if smoke { 2 } else { 10 } * scale;
-        (0.1 / scale as f64, intervals)
-    };
-
-    // Cell plans, all built up front so the timed passes can interleave.
-    struct Plan {
-        name: String,
-        mode: &'static str,
-        servers: usize,
-        rate: f64,
-        interval_s: f64,
-        intervals: usize,
-        specs: Vec<ServerSpec>,
-        dvfs: Vec<Vec<ServerSpec>>,
-        seed: u64,
-    }
-    let mut plans: Vec<Plan> = Vec::new();
-    for &servers in &[64usize, 256, 1024] {
-        let name = format!("open/memcached/s{servers}");
-        if !selected(only, &name) {
-            continue;
-        }
-        let (interval_s, intervals) = cell_shape(servers);
-        plans.push(Plan {
-            name,
-            mode: "open",
-            servers,
-            rate: UTILIZATION * servers as f64 / t_mean,
-            interval_s,
-            intervals,
-            specs: big_specs(&model, servers),
-            dvfs: Vec::new(),
-            seed: 42,
-        });
-    }
-    {
-        let servers = 256usize;
-        let name = format!("open/memcached-dvfs/s{servers}");
-        if selected(only, &name) {
-            let (interval_s, intervals) = cell_shape(servers);
-            let ladder = dvfs_spec_ladder(&big_specs(&model, servers));
-            plans.push(Plan {
-                name,
-                mode: "open-dvfs",
-                servers,
-                rate: UTILIZATION * ladder_capacity_rps(&model, &ladder),
-                interval_s,
-                intervals,
-                specs: ladder[0].clone(),
-                dvfs: ladder,
-                seed: 47,
-            });
-        }
-    }
-
-    // Timed passes interleave round-robin over (cell × implementation), so
-    // slow machine-state drift (thermal throttling, noisy neighbours on a
-    // shared runner) lands on every cell's sample set instead of skewing
-    // the cells that happen to run last — the flatness ratio compares
-    // cells against each other, so drift *between* cells is what matters.
-    let mut buf: Vec<(f64, Demand)> = Vec::new();
-    let mut best_new: Vec<Option<Measured>> = plans.iter().map(|_| None).collect();
-    let mut best_ref: Vec<Option<Measured>> = plans.iter().map(|_| None).collect();
-    for _rep in 0..PR5_REPS {
-        for (i, plan) in plans.iter().enumerate() {
-            let mut node = PackedHeapNode::new();
-            let mut gen = OpenStreamGen::new(&model, plan.rate, plan.seed);
-            let m = replay_open(
-                &mut node,
-                &plan.specs,
-                &plan.dvfs,
-                &mut gen,
-                &mut buf,
-                plan.interval_s,
-                plan.intervals,
-            );
-            keep_best(&mut best_new[i], m);
-            let mut node = HeapNode::new();
-            let mut gen = OpenStreamGen::new(&model, plan.rate, plan.seed);
-            let m = replay_open(
-                &mut node,
-                &plan.specs,
-                &plan.dvfs,
-                &mut gen,
-                &mut buf,
-                plan.interval_s,
-                plan.intervals,
-            );
-            keep_best(&mut best_ref[i], m);
-        }
-    }
-
-    let mut cells: Vec<Cell> = Vec::new();
-    for (i, plan) in plans.into_iter().enumerate() {
-        let new = best_new[i].take().expect("every plan ran");
-        let reference = best_ref[i].take().expect("every plan ran");
-        check_equivalence(&plan.name, &new, &reference);
-        println!(
-            "  {} ... packed-heap node {:.2} M events/s (heap node {:.2} M) — {:.1}×",
-            plan.name,
-            new.events_per_sec() / 1e6,
-            reference.events_per_sec() / 1e6,
-            new.events_per_sec() / reference.events_per_sec().max(1e-9),
-        );
-        cells.push(Cell {
-            name: plan.name,
-            mode: plan.mode,
-            servers: plan.servers,
-            clients: None,
-            offered_rps: plan.rate,
-            interval_s: plan.interval_s,
-            intervals: plan.intervals,
-            new,
-            reference,
-            core: None,
-        });
-    }
-
-    if cells.is_empty() {
-        return; // --only matched nothing here; leave the file alone
-    }
-
-    let find = |n: &str| cells.iter().find(|c| c.name == n);
-    let flat = match (find("open/memcached/s64"), find("open/memcached/s1024")) {
-        (Some(s64), Some(s1024)) => {
-            let ratio = s64.new.events_per_sec() / s1024.new.events_per_sec().max(1e-9);
-            println!(
-                "\nflatness: s64 {:.2} M events/s vs s1024 {:.2} M — ratio {ratio:.2} (floor 1.3)",
-                s64.new.events_per_sec() / 1e6,
-                s1024.new.events_per_sec() / 1e6,
-            );
-            format!(
-                ",\"flatness\":{{\"s64_events_per_sec\":{:.1},\
-                 \"s1024_events_per_sec\":{:.1},\"ratio\":{:.3}}}",
-                s64.new.events_per_sec(),
-                s1024.new.events_per_sec(),
-                ratio
-            )
-        }
-        _ => String::new(),
-    };
-
-    // Enforce the recorded-baseline floors on full runs only: smoke runs
-    // are seconds-long and land on noisy CI machines.
-    if !smoke && only.is_none() {
-        let s256 = find("open/memcached/s256").expect("full run has the s256 cell");
-        assert!(
-            s256.speedup() >= 1.5,
-            "PR5 floor: open/memcached/s256 must be ≥1.5× over the heap node, got {:.2}×",
-            s256.speedup()
-        );
-        let s64 = find("open/memcached/s64").expect("full run has the s64 cell");
-        let s1024 = find("open/memcached/s1024").expect("full run has the s1024 cell");
-        let ratio = s64.new.events_per_sec() / s1024.new.events_per_sec().max(1e-9);
-        assert!(
-            ratio <= 1.3,
-            "PR5 floor: s1024 events/sec must be within 1.3× of s64, got {ratio:.2}×"
-        );
-    }
-
-    let body: Vec<String> = cells.iter().map(Cell::json).collect();
-    let json = format!(
-        "{{\"bench\":\"hipster dispatch at scale\",\"pr\":\"PR5\",\
-         \"smoke\":{smoke},\"tail_percentile\":{TAIL_P},\
-         \"utilization\":{UTILIZATION},\
-         \"impl\":\"PackedHeapNode (frozen PR5 speed-class bitmap + packed-u128 heap)\",\
-         \"reference_impl\":\"HeapNode (PR3/4 free-server max-heap)\",\
-         \"cells\":[\n  {}\n]{flat}}}\n",
-        body.join(",\n  ")
-    );
-    let path = "BENCH_PR5.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("  [json] wrote {path}"),
-        Err(e) => eprintln!("  [json] FAILED to write {path}: {e}"),
-    }
-}
-
-// ---------------------------------------------------------------------
-// PR6: calendar-queue event core → BENCH_PR6.json
-// ---------------------------------------------------------------------
-
-/// One recorded operation of the event core — the completion queue plus
-/// (for closed-loop cells) the think pool. [`TraceQueue`] / [`TracePool`]
-/// append these while the cell's *real* simulation replays once untimed;
-/// [`replay_core`] then replays the recorded sequence verbatim against
-/// each queue implementation, timing the queue layer in isolation.
-///
-/// Why a trace replay and not just the end-to-end node race: both node
-/// implementations share the whole `QueuedNode` body (dispatch, latency
-/// recording, hot-record updates, interval accounting) — ~45 ns of work
-/// per event that Amdahl-caps the end-to-end ratio near 1.1× no matter
-/// how fast the queue gets. The op-trace replay prices exactly the
-/// artifact the PR swaps (the queue), on exactly the op mix, sizes and
-/// key distributions the cell's simulation produces — unlike a synthetic
-/// hold-model microbench. Both metrics are recorded per cell; the PR 6
-/// speedup floor binds on the core race, the flatness and no-regression
-/// floors on the end-to-end race.
-#[derive(Clone, Copy, Debug)]
-enum CoreOp {
-    /// `CompletionQueue::push(finish, server)`.
-    CqPush(f64, u32),
-    /// `CompletionQueue::pop_if_le(to)`.
-    CqPop(f64),
-    /// `CompletionQueue::peek_finish()`.
-    CqPeek,
-    /// `ThinkPool::push(expiry)`.
-    TpPush(f64),
-    /// `ThinkPool::pop_min()`.
-    TpPop,
-    /// `ThinkPool::peek_min()`.
-    TpPeek,
-}
-
-/// Per-cell cap on recorded core ops (~96 MB of trace): cells whose full
-/// stream is longer keep their steady-state prefix — the queues fill
-/// within the first simulated interval, so the prefix prices the same
-/// steady state the full cell would. The end-to-end race always runs the
-/// full cell.
-const CORE_TRACE_CAP: usize = 6_000_000;
-
-thread_local! {
-    /// Sink for [`TraceQueue`] / [`TracePool`] recordings. A thread-local
-    /// keeps the tracing wrappers `Default`-constructible (the node's
-    /// generic constructor builds its own queue) while still letting the
-    /// driver harvest the trace afterwards.
-    static CORE_TRACE: RefCell<Vec<CoreOp>> = const { RefCell::new(Vec::new()) };
-}
-
-fn core_trace_record(op: CoreOp) {
-    CORE_TRACE.with(|t| {
-        let mut t = t.borrow_mut();
-        if t.len() < CORE_TRACE_CAP {
-            t.push(op);
-        }
-    });
-}
-
-/// Takes (and clears) the recorded trace.
-fn core_trace_take() -> Vec<CoreOp> {
-    CORE_TRACE.with(|t| std::mem::take(&mut *t.borrow_mut()))
-}
-
-/// A [`CalendarQueue`] that records its per-event ops (push / pop / peek)
-/// to the thread-local trace. The bulk surfaces (`rebuild_from`,
-/// `drain_unordered`, `servers`) stay untraced: no PR 6 cell reconfigures
-/// mid-run, and the per-interval `servers()` walk is not a queue-order
-/// operation.
-#[derive(Clone, Debug, Default)]
-struct TraceQueue(CalendarQueue);
-
-impl CompletionQueue for TraceQueue {
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-    fn peek_finish(&self) -> Option<f64> {
-        core_trace_record(CoreOp::CqPeek);
-        self.0.peek_min_time()
-    }
-    fn push(&mut self, finish: f64, server: usize) {
-        core_trace_record(CoreOp::CqPush(finish, server as u32));
-        CalendarQueue::push(&mut self.0, finish, server);
-    }
-    fn pop_if_le(&mut self, to: f64) -> Option<(f64, usize)> {
-        core_trace_record(CoreOp::CqPop(to));
-        CalendarQueue::pop_if_le(&mut self.0, to)
-    }
-    fn rebuild_from(&mut self, scratch: &mut Vec<(f64, usize)>) {
-        self.0.rebuild_from_unpacked(scratch);
-    }
-    fn servers(&self) -> impl Iterator<Item = usize> + '_ {
-        self.0.payloads()
-    }
-    fn drain_unordered(&mut self, out: &mut Vec<(f64, usize)>) {
-        CalendarQueue::drain_unordered(&mut self.0, out);
-    }
-}
-
-/// A [`ThinkPool`] that records its ops to the same thread-local trace as
-/// [`TraceQueue`], preserving the real interleaving of completion-queue
-/// and think-pool traffic.
-#[derive(Debug, Default)]
-struct TracePool(ThinkPool);
-
-impl Pool for TracePool {
-    fn push(&mut self, expiry: f64) {
-        core_trace_record(CoreOp::TpPush(expiry));
-        self.0.push(expiry);
-    }
-    fn peek_min(&self) -> Option<f64> {
-        core_trace_record(CoreOp::TpPeek);
-        self.0.peek_min()
-    }
-    fn pop_min(&mut self) -> Option<f64> {
-        core_trace_record(CoreOp::TpPop);
-        self.0.pop_min()
-    }
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-}
-
-/// One implementation's timed pass over a recorded op trace: wall seconds
-/// plus a fold of every value the queues returned. The fold doubles as a
-/// differential check — the calendar and the frozen heaps must return
-/// bit-identical pop/peek sequences on the same trace — and keeps the
-/// optimizer from discarding the replay.
-struct CoreMeasured {
-    wall_s: f64,
-    sink: u64,
-}
-
-fn keep_best_core(best: &mut Option<CoreMeasured>, m: CoreMeasured) {
-    match best {
-        Some(b) => {
-            assert_eq!(b.sink, m.sink, "op-trace replay diverged between passes");
-            if m.wall_s < b.wall_s {
-                *b = m;
-            }
-        }
-        None => *best = Some(m),
-    }
-}
-
-/// Replays a recorded op trace against one (completion queue, think pool)
-/// pair. Open-loop traces contain no think ops; the pool sits empty.
-fn replay_core<Q: CompletionQueue, P: Pool>(ops: &[CoreOp], q: &mut Q, p: &mut P) -> CoreMeasured {
-    let start = Instant::now();
-    let mut sink = 0u64;
-    for &op in ops {
-        match op {
-            CoreOp::CqPush(finish, server) => q.push(finish, server as usize),
-            CoreOp::CqPop(to) => {
-                if let Some((finish, server)) = q.pop_if_le(to) {
-                    sink = sink.wrapping_add(finish.to_bits() ^ (server as u64).rotate_left(17));
-                }
-            }
-            CoreOp::CqPeek => {
-                if let Some(finish) = q.peek_finish() {
-                    sink = sink.wrapping_add(finish.to_bits());
-                }
-            }
-            CoreOp::TpPush(expiry) => p.push(expiry),
-            CoreOp::TpPop => {
-                if let Some(expiry) = p.pop_min() {
-                    sink = sink.wrapping_add(expiry.to_bits());
-                }
-            }
-            CoreOp::TpPeek => {
-                if let Some(expiry) = p.peek_min() {
-                    sink = sink.wrapping_add(expiry.to_bits());
-                }
-            }
-        }
-    }
-    CoreMeasured {
-        wall_s: start.elapsed().as_secs_f64(),
-        sink,
-    }
-}
-
-/// Timed passes per PR6 cell (best pass recorded, interleaved round-robin
-/// like the PR5 cells).
-const PR6_REPS: usize = 5;
-
-/// One timed pass of the closed-loop replay: identical event delivery to
-/// [`drive_closed`] (same completion-vs-think precedence, same boundary
-/// semantics), but consuming pre-generated sampling streams — `thinks`
-/// and `demands` are the iid draw sequences [`drive_closed`] would pull
-/// from its RNGs, consumed in the same order by cursor — so the cell
-/// times the event core (queue + node) rather than the lognormal /
-/// exponential samplers. The same hoist [`replay_open`] makes for the
-/// open-loop cells.
-#[allow(clippy::too_many_arguments)]
-fn replay_closed<N: EventNode, P: Pool>(
-    node: &mut N,
-    pool: &mut P,
-    specs: &[ServerSpec],
-    thinks: &[f64],
-    demands: &[Demand],
-    clients: usize,
-    interval_s: f64,
-    intervals: usize,
-) -> Measured {
-    let (mut ti, mut di) = (0usize, 0usize);
-    let start = Instant::now();
-    node.reconfigure(0.0, specs, true, 0.0);
-    let mut now = 0.0f64;
-    while pool.len() < clients {
-        pool.push(now + thinks[ti]);
-        ti += 1;
-    }
-    let mut checksum = Vec::with_capacity(intervals);
-    let mut events = 0u64;
-    let mut completions = Vec::new();
-    for _ in 0..intervals {
-        node.begin_interval(now);
-        let t_end = now + interval_s;
-        loop {
-            let mut t = t_end;
-            let mut submit = false;
-            if let Some(tc) = node.next_completion() {
-                if tc < t {
-                    t = tc;
-                }
-            }
-            if let Some(tk) = pool.peek_min() {
-                if tk < t {
-                    t = tk;
-                    submit = true;
-                }
-            }
-            completions.clear();
-            node.advance_collect(t, &mut completions);
-            for &ct in &completions {
-                pool.push(ct + thinks[ti]);
-                ti += 1;
-            }
-            if t >= t_end && !submit {
-                break;
-            }
-            if submit {
-                pool.pop_min().expect("think expiry exists");
-                node.arrive(t, demands[di]);
-                di += 1;
-            }
-        }
-        now = t_end;
-        let iv = node.end_interval(t_end, TAIL_P);
-        events += (iv.arrivals + iv.completions + iv.timeouts) as u64;
-        checksum.push((
-            iv.arrivals,
-            iv.completions,
-            iv.timeouts,
-            iv.tail_latency_s.to_bits(),
-        ));
-    }
-    Measured {
-        events,
-        intervals,
-        wall_s: start.elapsed().as_secs_f64(),
-        checksum,
-    }
-}
-
-/// Pre-generates the closed-loop sampling streams one untimed probe run
-/// established the lengths of: think deltas are exactly
-/// `clients + Σ completions` iid exponentials (one per prefill, one per
-/// collected completion), demands exactly `Σ arrivals` iid draws — both
-/// from the same seeds [`drive_closed`] uses, so the replay reproduces
-/// the probe bit-for-bit (asserted by the caller).
-fn closed_streams(
-    model: &LcWorkload,
-    clients: usize,
-    think_mean_s: f64,
-    probe: &Measured,
-    seed: u64,
-) -> (Vec<f64>, Vec<Demand>) {
-    let arrivals: usize = probe.checksum.iter().map(|c| c.0).sum();
-    let completions: usize = probe.checksum.iter().map(|c| c.1).sum();
-    let think = Exponential::new(1.0 / think_mean_s.max(1e-9));
-    let mut arrival_rng = SimRng::seed(seed);
-    let mut demand_rng = SimRng::seed(seed ^ 0x9e3779b97f4a7c15);
-    let thinks: Vec<f64> = (0..clients + completions)
-        .map(|_| think.sample(&mut arrival_rng))
-        .collect();
-    let demands: Vec<Demand> = (0..arrivals)
-        .map(|_| model.sample_demand(&mut demand_rng))
-        .collect();
-    (thinks, demands)
-}
-
-/// The PR6 calendar-queue matrix → `BENCH_PR6.json`: the calendar-backed
-/// [`ServiceNode`] + [`ThinkPool`] vs the frozen PR 5 packed-`u128` heap
-/// ([`PackedHeapNode`] + [`HeapThinkPool`]) on identical streams
-/// (digest-compared; panics on divergence). Cells:
-///
-/// * `open/memcached/s1024` — the largest open-loop machine, Poisson
-///   arrivals (1024 in-flight events steady-state);
-/// * `open/memcached-mmpp/s1024` — the same machine under two-state MMPP
-///   bursty arrivals ([`MmppStream`]), clumping events into few
-///   calendar buckets and then starving the ring;
-/// * `closed/web-search/c1024`, `closed/web-search/c4096` — closed-loop
-///   populations where *both* queues are hot: every event pops/pushes
-///   the think pool and the completion queue.
-///
-/// Each cell races *two* metrics (see [`CoreOp`] for the rationale):
-///
-/// * **node** — the full end-to-end replay, calendar node vs frozen heap
-///   node: both implementations share the whole `QueuedNode` body, so
-///   this measures what the queue swap buys the simulation as a user
-///   sees it (~1.1×: the queues are ~1/3 of per-event cost);
-/// * **core** — an op-trace replay: the cell's exact queue-op sequence
-///   (captured by a tracing pass) timed against each (completion queue,
-///   think pool) pair in isolation, which prices the swapped artifact
-///   itself without the shared node work diluting the ratio.
-///
-/// When recording a full (non-smoke, unfiltered) run, enforces the PR 6
-/// floors: core-race ≥1.3× at c4096 over the frozen heaps, end-to-end
-/// c4096 ≥1.0× (no regression), and c4096 per-event throughput within
-/// 1.3× of c1024 (flat event loop in the in-flight population).
-fn run_calendar_scale(smoke: bool, only: Option<&str>) {
-    let open_model = memcached();
-    let closed_model = web_search();
-    let t_mean_open = mean_service_s(&open_model);
-    let t_mean_closed = mean_service_s(&closed_model);
-    // Open-loop cells reuse the PR5 shape: interval length scales
-    // inversely with the server count, holding the per-interval
-    // completion batch constant across scales.
-    let open_shape = |servers: usize| {
-        let scale = servers / 64;
-        let intervals = if smoke { 2 } else { 10 } * scale;
-        (0.1 / scale as f64, intervals)
-    };
-    let closed_intervals = if smoke { 2 } else { 10 };
-    let closed_interval_s = 1.0;
-
-    struct OpenPlan {
-        name: String,
-        mode: &'static str,
-        servers: usize,
-        rate: f64,
-        interval_s: f64,
-        intervals: usize,
-        specs: Vec<ServerSpec>,
-        /// MMPP mean cycle seconds; `None` = plain Poisson.
-        mmpp_cycle: Option<f64>,
-        seed: u64,
-    }
-    let mut open_plans: Vec<OpenPlan> = Vec::new();
-    {
-        let servers = 1024usize;
-        let (interval_s, intervals) = open_shape(servers);
-        let rate = UTILIZATION * servers as f64 / t_mean_open;
-        let name = format!("open/memcached/s{servers}");
-        if selected(only, &name) {
-            open_plans.push(OpenPlan {
-                name,
-                mode: "open",
-                servers,
-                rate,
-                interval_s,
-                intervals,
-                specs: big_specs(&open_model, servers),
-                mmpp_cycle: None,
-                seed: 42,
-            });
-        }
-        let name = format!("open/memcached-mmpp/s{servers}");
-        if selected(only, &name) {
-            open_plans.push(OpenPlan {
-                name,
-                mode: "open-mmpp",
-                servers,
-                rate,
-                interval_s,
-                intervals,
-                specs: big_specs(&open_model, servers),
-                mmpp_cycle: Some(interval_s),
-                seed: 53,
-            });
-        }
-    }
-
-    struct ClosedPlan {
-        name: String,
-        servers: usize,
-        clients: usize,
-        offered: f64,
-        specs: Vec<ServerSpec>,
-        thinks: Vec<f64>,
-        demands: Vec<Demand>,
-        probe_checksum: Vec<(usize, usize, usize, u64)>,
-    }
-    let mut closed_plans: Vec<ClosedPlan> = Vec::new();
-    for &(servers, clients) in &[(256usize, 1024usize), (1024, 4096)] {
-        let name = format!("closed/web-search/c{clients}");
-        if !selected(only, &name) {
-            continue;
-        }
-        // Think time calibrated so offered load ≈ UTILIZATION × capacity
-        // (the PR3 closed-cell calibration).
-        let think = (t_mean_closed * clients as f64 / (UTILIZATION * servers as f64)
-            - t_mean_closed)
-            .max(1e-3);
-        let offered = clients as f64 / (think + t_mean_closed);
-        // Untimed probe run fixes the stream lengths (and the expected
-        // checksum the replays must reproduce).
-        let mut node = ServiceNode::new();
-        let mut pool = ThinkPool::new();
-        let probe = drive_closed(
-            &mut node,
-            &mut pool,
-            &closed_model,
-            servers,
-            clients,
-            think,
-            closed_interval_s,
-            closed_intervals,
-            43,
-        );
-        let (thinks, demands) = closed_streams(&closed_model, clients, think, &probe, 43);
-        closed_plans.push(ClosedPlan {
-            name,
-            servers,
-            clients,
-            offered,
-            specs: big_specs(&closed_model, servers),
-            thinks,
-            demands,
-            probe_checksum: probe.checksum,
-        });
-    }
-
-    if open_plans.is_empty() && closed_plans.is_empty() {
-        return; // --only matched nothing here; leave the file alone
-    }
-
-    // Timed passes interleave round-robin over (cell × implementation),
-    // for the same drift-spreading reason as the PR5 cells.
-    let mut buf: Vec<(f64, Demand)> = Vec::new();
-
-    // One untimed tracing pass per cell captures the exact event-core op
-    // sequence the simulation issues (the node result is discarded); the
-    // timed core races replay it below.
-    let open_traces: Vec<Vec<CoreOp>> = open_plans
-        .iter()
-        .map(|plan| {
-            core_trace_take();
-            let mut node = QueuedNode::<TraceQueue>::new();
-            if let Some(cycle) = plan.mmpp_cycle {
-                let mut gen = MmppStream::new(&open_model, plan.rate, cycle, plan.seed);
-                replay_open(
-                    &mut node,
-                    &plan.specs,
-                    &[],
-                    &mut gen,
-                    &mut buf,
-                    plan.interval_s,
-                    plan.intervals,
-                );
-            } else {
-                let mut gen = OpenStreamGen::new(&open_model, plan.rate, plan.seed);
-                replay_open(
-                    &mut node,
-                    &plan.specs,
-                    &[],
-                    &mut gen,
-                    &mut buf,
-                    plan.interval_s,
-                    plan.intervals,
-                );
-            }
-            core_trace_take()
-        })
-        .collect();
-    let closed_traces: Vec<Vec<CoreOp>> = closed_plans
-        .iter()
-        .map(|plan| {
-            core_trace_take();
-            let mut node = QueuedNode::<TraceQueue>::new();
-            let mut pool = TracePool::default();
-            replay_closed(
-                &mut node,
-                &mut pool,
-                &plan.specs,
-                &plan.thinks,
-                &plan.demands,
-                plan.clients,
-                closed_interval_s,
-                closed_intervals,
-            );
-            core_trace_take()
-        })
-        .collect();
-
-    let mut open_new: Vec<Option<Measured>> = open_plans.iter().map(|_| None).collect();
-    let mut open_ref: Vec<Option<Measured>> = open_plans.iter().map(|_| None).collect();
-    let mut closed_new: Vec<Option<Measured>> = closed_plans.iter().map(|_| None).collect();
-    let mut closed_ref: Vec<Option<Measured>> = closed_plans.iter().map(|_| None).collect();
-    let mut open_core_new: Vec<Option<CoreMeasured>> = open_plans.iter().map(|_| None).collect();
-    let mut open_core_ref: Vec<Option<CoreMeasured>> = open_plans.iter().map(|_| None).collect();
-    let mut closed_core_new: Vec<Option<CoreMeasured>> =
-        closed_plans.iter().map(|_| None).collect();
-    let mut closed_core_ref: Vec<Option<CoreMeasured>> =
-        closed_plans.iter().map(|_| None).collect();
-    for _rep in 0..PR6_REPS {
-        for (i, plan) in open_plans.iter().enumerate() {
-            let mut node = ServiceNode::new();
-            let m = if let Some(cycle) = plan.mmpp_cycle {
-                let mut gen = MmppStream::new(&open_model, plan.rate, cycle, plan.seed);
-                replay_open(
-                    &mut node,
-                    &plan.specs,
-                    &[],
-                    &mut gen,
-                    &mut buf,
-                    plan.interval_s,
-                    plan.intervals,
-                )
-            } else {
-                let mut gen = OpenStreamGen::new(&open_model, plan.rate, plan.seed);
-                replay_open(
-                    &mut node,
-                    &plan.specs,
-                    &[],
-                    &mut gen,
-                    &mut buf,
-                    plan.interval_s,
-                    plan.intervals,
-                )
-            };
-            keep_best(&mut open_new[i], m);
-            let mut node = PackedHeapNode::new();
-            let m = if let Some(cycle) = plan.mmpp_cycle {
-                let mut gen = MmppStream::new(&open_model, plan.rate, cycle, plan.seed);
-                replay_open(
-                    &mut node,
-                    &plan.specs,
-                    &[],
-                    &mut gen,
-                    &mut buf,
-                    plan.interval_s,
-                    plan.intervals,
-                )
-            } else {
-                let mut gen = OpenStreamGen::new(&open_model, plan.rate, plan.seed);
-                replay_open(
-                    &mut node,
-                    &plan.specs,
-                    &[],
-                    &mut gen,
-                    &mut buf,
-                    plan.interval_s,
-                    plan.intervals,
-                )
-            };
-            keep_best(&mut open_ref[i], m);
-            let mut q = CalendarQueue::new();
-            let mut p = ThinkPool::new();
-            keep_best_core(
-                &mut open_core_new[i],
-                replay_core(&open_traces[i], &mut q, &mut p),
-            );
-            let mut q = PackedHeap::default();
-            let mut p = HeapThinkPool::new();
-            keep_best_core(
-                &mut open_core_ref[i],
-                replay_core(&open_traces[i], &mut q, &mut p),
-            );
-        }
-        for (i, plan) in closed_plans.iter().enumerate() {
-            let mut node = ServiceNode::new();
-            let mut pool = ThinkPool::new();
-            let m = replay_closed(
-                &mut node,
-                &mut pool,
-                &plan.specs,
-                &plan.thinks,
-                &plan.demands,
-                plan.clients,
-                closed_interval_s,
-                closed_intervals,
-            );
-            keep_best(&mut closed_new[i], m);
-            let mut node = PackedHeapNode::new();
-            let mut pool = HeapThinkPool::new();
-            let m = replay_closed(
-                &mut node,
-                &mut pool,
-                &plan.specs,
-                &plan.thinks,
-                &plan.demands,
-                plan.clients,
-                closed_interval_s,
-                closed_intervals,
-            );
-            keep_best(&mut closed_ref[i], m);
-            let mut q = CalendarQueue::new();
-            let mut p = ThinkPool::new();
-            keep_best_core(
-                &mut closed_core_new[i],
-                replay_core(&closed_traces[i], &mut q, &mut p),
-            );
-            let mut q = PackedHeap::default();
-            let mut p = HeapThinkPool::new();
-            keep_best_core(
-                &mut closed_core_ref[i],
-                replay_core(&closed_traces[i], &mut q, &mut p),
-            );
-        }
-    }
-
-    // Folds one cell's core passes into a `CoreRace`, asserting the
-    // calendar and the frozen heaps returned bit-identical pop/peek
-    // sequences over the recorded trace.
-    let fold_core = |name: &str, ops: usize, new: CoreMeasured, reference: CoreMeasured| {
-        assert_eq!(
-            new.sink, reference.sink,
-            "{name}: calendar and frozen-heap op-trace replays diverged"
-        );
-        CoreRace {
-            ops,
-            new_wall_s: new.wall_s,
-            ref_wall_s: reference.wall_s,
-        }
-    };
-
-    let mut cells: Vec<Cell> = Vec::new();
-    for (i, plan) in open_plans.into_iter().enumerate() {
-        let new = open_new[i].take().expect("every plan ran");
-        let reference = open_ref[i].take().expect("every plan ran");
-        check_equivalence(&plan.name, &new, &reference);
-        let core = fold_core(
-            &plan.name,
-            open_traces[i].len(),
-            open_core_new[i].take().expect("every plan ran"),
-            open_core_ref[i].take().expect("every plan ran"),
-        );
-        println!(
-            "  {} ... node {:.2} M events/s (packed heap {:.2} M) — {:.2}×; \
-             core {:.1} ns/op (packed heap {:.1}) — {:.2}×",
-            plan.name,
-            new.events_per_sec() / 1e6,
-            reference.events_per_sec() / 1e6,
-            new.events_per_sec() / reference.events_per_sec().max(1e-9),
-            core.ns_per_op(core.new_wall_s),
-            core.ns_per_op(core.ref_wall_s),
-            core.speedup(),
-        );
-        cells.push(Cell {
-            name: plan.name,
-            mode: plan.mode,
-            servers: plan.servers,
-            clients: None,
-            offered_rps: plan.rate,
-            interval_s: plan.interval_s,
-            intervals: plan.intervals,
-            new,
-            reference,
-            core: Some(core),
-        });
-    }
-    for (i, plan) in closed_plans.into_iter().enumerate() {
-        let new = closed_new[i].take().expect("every plan ran");
-        let reference = closed_ref[i].take().expect("every plan ran");
-        check_equivalence(&plan.name, &new, &reference);
-        assert_eq!(
-            new.checksum, plan.probe_checksum,
-            "{}: replayed streams diverged from the inline-sampling probe",
-            plan.name
-        );
-        let core = fold_core(
-            &plan.name,
-            closed_traces[i].len(),
-            closed_core_new[i].take().expect("every plan ran"),
-            closed_core_ref[i].take().expect("every plan ran"),
-        );
-        println!(
-            "  {} ... node {:.2} M events/s (packed heap {:.2} M) — {:.2}×; \
-             core {:.1} ns/op (packed heap {:.1}) — {:.2}×",
-            plan.name,
-            new.events_per_sec() / 1e6,
-            reference.events_per_sec() / 1e6,
-            new.events_per_sec() / reference.events_per_sec().max(1e-9),
-            core.ns_per_op(core.new_wall_s),
-            core.ns_per_op(core.ref_wall_s),
-            core.speedup(),
-        );
-        cells.push(Cell {
-            name: plan.name,
-            mode: "closed",
-            servers: plan.servers,
-            clients: Some(plan.clients),
-            offered_rps: plan.offered,
-            interval_s: closed_interval_s,
-            intervals: closed_intervals,
-            new,
-            reference,
-            core: Some(core),
-        });
-    }
-
-    let find = |n: &str| cells.iter().find(|c| c.name == n);
-    let flat = match (
-        find("closed/web-search/c1024"),
-        find("closed/web-search/c4096"),
-    ) {
-        (Some(c1024), Some(c4096)) => {
-            let ratio = c1024.new.events_per_sec() / c4096.new.events_per_sec().max(1e-9);
-            println!(
-                "\nflatness: c1024 {:.2} M events/s vs c4096 {:.2} M — ratio {ratio:.2} (floor 1.3)",
-                c1024.new.events_per_sec() / 1e6,
-                c4096.new.events_per_sec() / 1e6,
-            );
-            format!(
-                ",\"flatness\":{{\"c1024_events_per_sec\":{:.1},\
-                 \"c4096_events_per_sec\":{:.1},\"ratio\":{:.3}}}",
-                c1024.new.events_per_sec(),
-                c4096.new.events_per_sec(),
-                ratio
-            )
-        }
-        _ => String::new(),
-    };
-
-    // Enforce the recorded-baseline floors on full runs only.
-    if !smoke && only.is_none() {
-        let c4096 = find("closed/web-search/c4096").expect("full run has the c4096 cell");
-        let core = c4096.core.as_ref().expect("PR6 cells record a core race");
-        assert!(
-            core.speedup() >= 1.3,
-            "PR6 floor: the closed/web-search/c4096 event-core op-trace replay must be \
-             ≥1.3× over the frozen packed heaps, got {:.2}×",
-            core.speedup()
-        );
-        assert!(
-            c4096.speedup() >= 1.0,
-            "PR6 floor: closed/web-search/c4096 end-to-end events/sec must not regress \
-             vs the frozen heap node, got {:.2}×",
-            c4096.speedup()
-        );
-        let c1024 = find("closed/web-search/c1024").expect("full run has the c1024 cell");
-        let ratio = c1024.new.events_per_sec() / c4096.new.events_per_sec().max(1e-9);
-        assert!(
-            ratio <= 1.3,
-            "PR6 floor: c4096 events/sec must be within 1.3× of c1024, got {ratio:.2}×"
-        );
-    }
-
-    let body: Vec<String> = cells.iter().map(Cell::json).collect();
-    let json = format!(
-        "{{\"bench\":\"hipster calendar-queue event core\",\"pr\":\"PR6\",\
-         \"smoke\":{smoke},\"tail_percentile\":{TAIL_P},\
-         \"utilization\":{UTILIZATION},\
-         \"reference_impl\":\"PackedHeapNode + HeapThinkPool (PR5 packed-u128 binary heaps)\",\
-         \"mmpp\":{{\"duty\":{MMPP_DUTY},\"burst_factor\":{MMPP_BURST_FACTOR},\
-         \"calm_factor\":{MMPP_CALM_FACTOR}}},\
-         \"cells\":[\n  {}\n]{flat}}}\n",
-        body.join(",\n  ")
-    );
-    let path = "BENCH_PR6.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("  [json] wrote {path}"),
-        Err(e) => eprintln!("  [json] FAILED to write {path}: {e}"),
-    }
-}
-
 // ---------------------------------------------------------------------------
 // PR7: cluster dispatch at scale → BENCH_PR7.json
 // ---------------------------------------------------------------------------
@@ -2624,31 +1305,6 @@ mod tests {
     }
 
     #[test]
-    fn core_trace_replays_identically_on_both_impls() {
-        // Capture a small closed-loop cell's op trace, then replay it
-        // against the calendar pair and the frozen heap pair: both must
-        // return bit-identical pop/peek sequences (folded into `sink`).
-        let model = web_search();
-        core_trace_take();
-        let mut node = QueuedNode::<TraceQueue>::new();
-        let mut pool = TracePool::default();
-        drive_closed(&mut node, &mut pool, &model, 3, 48, 0.05, 0.25, 3, 5);
-        let ops = core_trace_take();
-        assert!(
-            ops.iter()
-                .any(|op| matches!(op, CoreOp::CqPush(..) | CoreOp::TpPush(..))),
-            "trace captured no pushes"
-        );
-        let mut q = CalendarQueue::new();
-        let mut p = ThinkPool::new();
-        let new = replay_core(&ops, &mut q, &mut p);
-        let mut q = PackedHeap::default();
-        let mut p = HeapThinkPool::new();
-        let reference = replay_core(&ops, &mut q, &mut p);
-        assert_eq!(new.sink, reference.sink);
-    }
-
-    #[test]
     fn closed_driver_equivalent_across_impls() {
         let model = web_search();
         let mut a = ServiceNode::new();
@@ -2659,65 +1315,6 @@ mod tests {
         let reference = drive_closed(&mut b, &mut pb, &model, 3, 48, 0.05, 0.25, 3, 5);
         assert_eq!(new.checksum, reference.checksum);
         assert!(new.events > 0);
-    }
-
-    #[test]
-    fn closed_replay_matches_inline_sampling() {
-        // The record/replay hoist must reproduce the inline-sampling
-        // driver bit-for-bit, for both the calendar and frozen-heap impls.
-        let model = web_search();
-        let (servers, clients, think, interval_s, intervals, seed) = (3, 48, 0.05, 0.25, 3, 5);
-        let mut a = ServiceNode::new();
-        let mut pa = ThinkPool::new();
-        let probe = drive_closed(
-            &mut a, &mut pa, &model, servers, clients, think, interval_s, intervals, seed,
-        );
-        let (thinks, demands) = closed_streams(&model, clients, think, &probe, seed);
-        let specs = big_specs(&model, servers);
-        let mut b = ServiceNode::new();
-        let mut pb = ThinkPool::new();
-        let cal = replay_closed(
-            &mut b, &mut pb, &specs, &thinks, &demands, clients, interval_s, intervals,
-        );
-        assert_eq!(cal.checksum, probe.checksum, "replay diverged from probe");
-        let mut c = PackedHeapNode::new();
-        let mut pc = HeapThinkPool::new();
-        let heap = replay_closed(
-            &mut c, &mut pc, &specs, &thinks, &demands, clients, interval_s, intervals,
-        );
-        assert_eq!(heap.checksum, probe.checksum, "heap replay diverged");
-    }
-
-    #[test]
-    fn mmpp_stream_is_deterministic_and_rate_sane() {
-        let model = memcached();
-        let rate = 2000.0;
-        let mut counts = Vec::new();
-        for _ in 0..2 {
-            let mut gen = MmppStream::new(&model, rate, 0.1, 9);
-            let mut buf = Vec::new();
-            let mut all: Vec<(u64, u64)> = Vec::new();
-            let mut total = 0usize;
-            for i in 1..=20 {
-                gen.gen_interval(i as f64 * 0.1, &mut buf);
-                total += buf.len();
-                all.extend(buf.iter().map(|(t, d)| (t.to_bits(), d.work.to_bits())));
-            }
-            // Arrivals are strictly ordered across interval boundaries.
-            assert!(all
-                .windows(2)
-                .all(|w| { f64::from_bits(w[0].0) <= f64::from_bits(w[1].0) }));
-            counts.push((total, all));
-        }
-        assert_eq!(counts[0], counts[1], "same seed must replay identically");
-        // Long-run mean rate ≈ nominal (duty-weighted factors sum to 1);
-        // the tolerance is loose — 2 s of a bursty stream is noisy.
-        let requests = counts[0].0 as f64;
-        let expected = rate * 2.0;
-        assert!(
-            requests > expected * 0.4 && requests < expected * 2.5,
-            "MMPP mean rate off: got {requests} arrivals, expected ≈{expected}"
-        );
     }
 
     #[test]
@@ -2744,18 +1341,11 @@ mod tests {
             intervals: 2,
             new: m,
             reference: r,
-            core: Some(CoreRace {
-                ops: 20,
-                new_wall_s: 0.1,
-                ref_wall_s: 0.3,
-            }),
         };
         let j = cell.json();
         assert!(j.starts_with('{') && j.ends_with('}'));
         assert!(j.contains("\"clients\":null"));
         assert!(j.contains("\"speedup\":2.00"));
-        assert!(j.contains("\"core\":{\"ops\":20"));
-        assert!(j.contains("\"speedup\":3.00"));
     }
 
     #[test]

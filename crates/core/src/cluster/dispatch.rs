@@ -6,12 +6,11 @@
 //! per node) and answers "which node takes the next quantum?". The
 //! production implementation, [`BitmapDispatcher`], keeps that state in a
 //! [`NodeOccupancyMap`], so least-loaded picks are three bit scans — O(1)
-//! in cluster size, the node-tier analogue of the PR 5 speed-class free
-//! lists. [`ScanDispatcher`] is the frozen O(N) reference: a plain
-//! occupancy array scanned left to right. Both consume *identical* RNG
-//! draws and break ties toward the lowest node index, so a digest over
+//! in cluster size. [`ScanDispatcher`] is the frozen O(N) reference: a
+//! plain occupancy array scanned left to right. Both consume *identical*
+//! RNG draws and break ties toward the lowest node index, so a digest over
 //! their decisions must match event for event — the cluster analogue of
-//! the dispatch/calendar equivalence suites.
+//! the node equivalence suite.
 
 use hipster_sim::{NodeOccupancyMap, SimRng};
 

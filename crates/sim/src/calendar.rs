@@ -1,5 +1,5 @@
-//! Calendar queue: the O(1)-amortized time-bucket priority queue behind
-//! both event cores (pending completions and closed-loop think timers).
+//! Calendar queue of closed-loop think timers: the O(1)-amortized
+//! time-bucket priority queue behind [`ThinkPool`](crate::ThinkPool).
 //!
 //! A calendar queue spreads pending events over a ring of time buckets,
 //! each `width` seconds wide, the way a desk calendar spreads
@@ -11,63 +11,57 @@
 //! this year) and are filtered by comparing their virtual day, so
 //! far-future events cost nothing until the cursor actually reaches them.
 //!
-//! Four structural choices keep the constant factor below the binary
-//! heaps this replaces (whose pops walk ~12 cache-hostile levels at 4096
-//! in-flight events):
+//! The calendar backs think timers only. A closed-loop node keeps
+//! thousands of clients thinking, which is the population this structure
+//! pays off at; the service node's own completions number at most one per
+//! server and live in its flat server array
+//! ([`ServiceNode`](crate::ServiceNode)).
 //!
-//! * **Buckets are fixed slots in one flat slab**, [`Slot::CAP`] entries
-//!   per bucket plus a byte of occupancy — a `u64` bucket is exactly one
-//!   cache line — so touching a bucket is one indexed access, not a
-//!   `Vec`-header chase to a second random line. The rare bucket that
-//!   overflows its slots (bursty clumping, tie storms) spills into a
-//!   per-bucket overflow `Vec` consulted only when the slot count is at
-//!   capacity.
+//! Four structural choices keep the constant factor below a binary heap's
+//! (whose pops walk ~12 cache-hostile levels at 4096 thinking clients):
+//!
+//! * **Buckets are fixed slots in one flat slab**, [`CAP`] `u64` keys per
+//!   bucket plus a byte of occupancy — a bucket is exactly one cache line
+//!   — so touching a bucket is one indexed access, not a `Vec`-header
+//!   chase to a second random line. The rare bucket that overflows its
+//!   slots (bursty clumping, tie storms) spills into a per-bucket overflow
+//!   `Vec` consulted only when the slot count is at capacity.
 //! * **The current day is a sorted stack.** When the cursor reaches a
 //!   day, its events move into the `today` stack, sorted descending, so
 //!   every pop inside the day is a `Vec::pop` off the back — one
 //!   predictable cache line, no re-scan. Day activation sorts a handful
 //!   of entries and is paid once per day, amortized O(1) per event.
 //! * **An occupancy bitmap skips empty days word-wise.** Advancing the
-//!   cursor consults one bit per day instead of touching each bucket —
-//!   the same trick as the PR 5 dispatch free-list bitmaps, flattened to
-//!   one level because the walk is sequential anyway.
-//! * **Day-membership is decided per bucket, not per entry.** The packed
-//!   key order is monotone in the day mapping, so one look at a bucket's
+//!   cursor consults one bit per day instead of touching each bucket.
+//! * **Day-membership is decided per bucket, not per entry.** The key
+//!   order is monotone in the day mapping, so one look at a bucket's
 //!   smallest entry rejects a whole future-rotation bucket, and one look
 //!   at its largest accepts the whole bucket as current-day (the common,
 //!   non-aliased case — entries then move to `today` with a bulk copy);
 //!   only a bucket actually straddling rotations pays a per-entry split.
 //!
-//! The ring is generic over its stored [`Slot`]: completions store packed
-//! `(time key, server)` `u128`s, while the closed-loop think pool — a
-//! payloadless multiset of expiries — stores bare `u64` time keys, halving
-//! its line traffic at 4096 thinking clients (the hottest structure of the
-//! closed-loop matrix).
-//!
 //! The structure self-tunes: when the population outgrows or shrinks far
 //! below the ring size, the queue resizes and re-measures the live span
-//! (see `rebuild`), so it tracks the mean service/think time of whatever
-//! regime the simulation is in — including the bursty MMPP-style
-//! clustering that concentrates events in a few buckets between resizes.
+//! (see `rebuild`), so it tracks the mean think time of whatever regime
+//! the simulation is in — including the bursty MMPP-style clustering that
+//! concentrates events in a few buckets between resizes.
 //!
 //! # Exact pop order
 //!
-//! Completion entries are the same packed `u128`s as the frozen
-//! [`PackedHeap`](crate::reference::PackedHeap) — high 64 bits the event
-//! time mapped through the order-preserving [`f64::total_cmp`] bit trick,
-//! low 64 bits the payload (server index) — and the queue always pops the
-//! *global minimum* entry: `today` is sorted by the packed key, days are
-//! visited in time order, and a day's membership check is monotone in the
-//! packed key. Pop sequences are therefore bit-for-bit identical to the
-//! binary heaps this replaces (differential battery:
-//! `tests/calendar_equivalence.rs`), including `total_cmp` tie ranks,
-//! timeout-cancellation windows and DVFS rescale re-keys.
+//! Entries are event times mapped through the order-preserving
+//! [`f64::total_cmp`] bit trick ([`key_of`]), and the queue always pops
+//! the *global minimum* entry: `today` is sorted by key, days are visited
+//! in time order, and a day's membership check is monotone in the key.
+//! The pool therefore pops exactly the sequence of the linear-scan oracle
+//! [`ReferenceThinkPool`](crate::reference::ReferenceThinkPool)
+//! (differential battery: `tests/calendar_equivalence.rs`), including
+//! tie storms, far-future aliasing and `total_cmp` extremes.
 
 /// Maps an event time to a `u64` whose unsigned order equals
 /// [`f64::total_cmp`] order. Exact for every float (including negatives,
 /// zeros and NaNs), so equivalence holds under arbitrary test inputs.
 #[inline]
-pub(crate) fn key_of(finish: f64) -> u64 {
+fn key_of(finish: f64) -> u64 {
     let b = finish.to_bits();
     b ^ ((((b as i64) >> 63) as u64) >> 1) ^ (1u64 << 63)
 }
@@ -76,79 +70,38 @@ pub(crate) fn key_of(finish: f64) -> u64 {
 /// mask is `1 << 63` when the top bit is set (positive floats) and all
 /// ones otherwise (negative floats, stored complemented).
 #[inline]
-pub(crate) fn finish_of(key: u64) -> f64 {
+fn finish_of(key: u64) -> f64 {
     f64::from_bits(key ^ !((((key as i64) >> 63) as u64) >> 1))
 }
 
-#[inline]
-fn pack(finish: f64, payload: usize) -> u128 {
-    ((key_of(finish) as u128) << 64) | payload as u128
-}
-
-#[inline]
-fn unpack(e: u128) -> (f64, usize) {
-    (finish_of((e >> 64) as u64), e as u64 as usize)
-}
-
-/// A ring entry: `Ord` by (`key_of`-mapped) event time first, and able to
-/// report that time key. The two instantiations are `u128` (packed
-/// `(time, payload)` completion events) and `u64` (a bare time key — the
-/// think pool's payloadless multiset at half the memory traffic).
-trait Slot: Copy + Ord + Default + std::fmt::Debug {
-    /// Inline slab slots per bucket (one 64-byte cache line of `u64`
-    /// keys, two of `u128` pairs); beyond this a bucket spills into its
-    /// overflow `Vec`.
-    const CAP: usize = 8;
-
-    /// The order-preserving `u64` time key of this entry.
-    fn key(self) -> u64;
-
-    /// The event time (unmapped key).
-    #[inline]
-    fn time(self) -> f64 {
-        finish_of(self.key())
-    }
-}
-
-impl Slot for u128 {
-    #[inline]
-    fn key(self) -> u64 {
-        (self >> 64) as u64
-    }
-}
-
-impl Slot for u64 {
-    #[inline]
-    fn key(self) -> u64 {
-        self
-    }
-}
+/// Inline slab slots per bucket (one 64-byte cache line of `u64` keys);
+/// beyond this a bucket spills into its overflow `Vec`.
+const CAP: usize = 8;
 
 /// Smallest ring size; below this the ring is a couple of cache lines and
 /// shrinking further saves nothing.
 const MIN_BUCKETS: usize = 4;
 
-/// The generic rotating time-bucket core shared by [`CalendarQueue`] and
-/// [`TimerCalendar`]. All invariants live here; the wrappers only pack /
-/// unpack entries at the boundary.
+/// The rotating time-bucket core of [`TimerCalendar`]: a multiset of
+/// order-preserving `u64` time keys (see [`key_of`]).
 #[derive(Debug, Clone)]
-struct Ring<E> {
+struct Ring {
     /// Flat bucket slab: bucket `b` owns `slab[b*CAP .. b*CAP+lens[b]]`,
     /// unsorted *future* events (the current day's live in `today`).
     /// `lens.len()` — the ring size — is a power of two.
-    slab: Vec<E>,
-    /// Per-bucket slot occupancy (`CAP` fits in a byte).
+    slab: Vec<u64>,
+    /// Per-bucket slot occupancy ([`CAP`] fits in a byte).
     lens: Vec<u8>,
     /// Per-bucket overflow beyond the `CAP` slab slots. Invariant:
     /// non-empty only while `lens[b] == CAP`, so the common path never
     /// touches these `Vec` headers.
-    over: Vec<Vec<E>>,
+    over: Vec<Vec<u64>>,
     /// Occupancy bitmap: bit `b` set iff bucket `b` holds any entry.
     occupied: Vec<u64>,
     /// The current day's events, sorted descending — the global minimum is
     /// `today.last()`. Invariant: non-empty whenever `len > 0` (every
     /// mutation re-primes), so peek is branch + load.
-    today: Vec<E>,
+    today: Vec<u64>,
     /// `lens.len() - 1`, for mapping virtual days to ring slots.
     mask: u64,
     /// Bucket ("day") width in seconds.
@@ -161,15 +114,15 @@ struct Ring<E> {
     cursor: u64,
     len: usize,
     /// Reused entry buffer for resizes (no steady-state allocation).
-    scratch: Vec<E>,
+    scratch: Vec<u64>,
     /// Reused buffer for rotation-straddling bucket splits.
-    tmp: Vec<E>,
+    tmp: Vec<u64>,
 }
 
-impl<E: Slot> Ring<E> {
+impl Ring {
     fn new() -> Self {
         Ring {
-            slab: vec![E::default(); MIN_BUCKETS * E::CAP],
+            slab: vec![0; MIN_BUCKETS * CAP],
             lens: vec![0; MIN_BUCKETS],
             over: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
             occupied: vec![0; 1],
@@ -219,10 +172,10 @@ impl<E: Slot> Ring<E> {
     /// Appends an entry to bucket `b`: a slab slot while one is free, the
     /// overflow `Vec` past that.
     #[inline]
-    fn bucket_insert(&mut self, b: usize, e: E) {
+    fn bucket_insert(&mut self, b: usize, e: u64) {
         let l = self.lens[b] as usize;
-        if l < E::CAP {
-            self.slab[b * E::CAP + l] = e;
+        if l < CAP {
+            self.slab[b * CAP + l] = e;
             self.lens[b] = (l + 1) as u8;
         } else {
             self.over[b].push(e);
@@ -235,7 +188,7 @@ impl<E: Slot> Ring<E> {
     /// sorted insert into the (tiny) `today` stack, which keeps the
     /// cached minimum warm for free.
     #[inline]
-    fn push(&mut self, e: E, t: f64) {
+    fn push(&mut self, e: u64, t: f64) {
         let day = self.virtual_day(t);
         self.len += 1;
         if day == self.cursor && (self.len > 1 || !self.today.is_empty()) {
@@ -266,7 +219,7 @@ impl<E: Slot> Ring<E> {
     /// `Vec::pop` off the sorted stack, plus a day-advance walk when the
     /// day runs dry.
     #[inline]
-    fn pop_min(&mut self) -> E {
+    fn pop_min(&mut self) -> u64 {
         let e = self.today.pop().expect("pop_min on empty ring");
         self.len -= 1;
         if self.lens.len() > MIN_BUCKETS && self.len < self.lens.len() {
@@ -352,17 +305,17 @@ impl<E: Slot> Ring<E> {
         // Empty rotation: direct search for the global minimum entry (rare
         // — the resize policy keeps the live span within one rotation;
         // this is the multi-rotation and saturated-day fallback).
-        let mut best: Option<(E, usize)> = None;
+        let mut best: Option<(u64, usize)> = None;
         for b in 0..nbuckets {
             if self.occupied[b >> 6] & (1u64 << (b & 63)) == 0 {
                 continue;
             }
             let l = self.lens[b] as usize;
-            let mut m = self.slab[b * E::CAP];
-            for &e in &self.slab[b * E::CAP + 1..b * E::CAP + l] {
+            let mut m = self.slab[b * CAP];
+            for &e in &self.slab[b * CAP + 1..b * CAP + l] {
                 m = m.min(e);
             }
-            if l == E::CAP {
+            if l == CAP {
                 for &e in &self.over[b] {
                     m = m.min(e);
                 }
@@ -372,7 +325,7 @@ impl<E: Slot> Ring<E> {
             }
         }
         let (e, b) = best.expect("non-empty queue has a minimum");
-        let day = self.virtual_day(e.time());
+        let day = self.virtual_day(finish_of(e));
         let took = self.activate(b, day);
         debug_assert!(took, "minimum entry must activate its own day");
         self.cursor = day;
@@ -388,24 +341,24 @@ impl<E: Slot> Ring<E> {
     fn activate(&mut self, p: usize, day: u64) -> bool {
         let l = self.lens[p] as usize;
         debug_assert!(l > 0, "activate on a bucket the bitmap said is occupied");
-        let base = p * E::CAP;
+        let base = p * CAP;
         let slots = &self.slab[base..base + l];
         let (mut min, mut max) = (slots[0], slots[0]);
         for &e in &slots[1..] {
             min = min.min(e);
             max = max.max(e);
         }
-        let has_over = l == E::CAP && !self.over[p].is_empty();
+        let has_over = l == CAP && !self.over[p].is_empty();
         if has_over {
             for &e in &self.over[p] {
                 min = min.min(e);
                 max = max.max(e);
             }
         }
-        if self.virtual_day(min.time()) != day {
+        if self.virtual_day(finish_of(min)) != day {
             return false; // whole bucket is ≥ one rotation ahead
         }
-        if self.virtual_day(max.time()) == day {
+        if self.virtual_day(finish_of(max)) == day {
             // Whole bucket belongs to this day: bulk move, sort once.
             self.today.extend_from_slice(&self.slab[base..base + l]);
             if has_over {
@@ -421,7 +374,7 @@ impl<E: Slot> Ring<E> {
             tmp.append(&mut self.over[p]);
             self.lens[p] = 0;
             for e in tmp.drain(..) {
-                if self.virtual_day(e.time()) == day {
+                if self.virtual_day(finish_of(e)) == day {
                     self.today.push(e);
                 } else {
                     self.bucket_insert(p, e);
@@ -453,7 +406,7 @@ impl<E: Slot> Ring<E> {
         scratch.clear();
         scratch.append(&mut self.today);
         for b in 0..self.lens.len() {
-            let base = b * E::CAP;
+            let base = b * CAP;
             scratch.extend_from_slice(&self.slab[base..base + self.lens[b] as usize]);
         }
         for o in &mut self.over {
@@ -466,7 +419,7 @@ impl<E: Slot> Ring<E> {
     /// Sizes the ring + width for `entries` and installs them (the shared
     /// tail of `rebuild` and the drain-transform-rebuild reconfiguration
     /// path).
-    fn place_all(&mut self, entries: &[E]) {
+    fn place_all(&mut self, entries: &[u64]) {
         self.len = entries.len();
         let target = (self.len.max(1).div_ceil(4))
             .next_power_of_two()
@@ -474,7 +427,7 @@ impl<E: Slot> Ring<E> {
         // `resize` keeps existing capacity on shrink, so the slab and the
         // side tables churn no allocations once they've seen a population
         // high-water mark. Stale slab contents beyond `lens` are dead.
-        self.slab.resize(target * E::CAP, E::default());
+        self.slab.resize(target * CAP, 0);
         self.lens.clear();
         self.lens.resize(target, 0);
         if self.over.len() > target {
@@ -494,7 +447,7 @@ impl<E: Slot> Ring<E> {
         // degenerate calendar), so they ride the saturation path instead.
         let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
         for &e in entries {
-            let t = e.time();
+            let t = finish_of(e);
             if t.is_finite() {
                 lo = lo.min(t);
                 hi = hi.max(t);
@@ -509,7 +462,7 @@ impl<E: Slot> Ring<E> {
         // keep the current one.)
         self.cursor = u64::MAX;
         for &e in entries {
-            let day = self.virtual_day(e.time());
+            let day = self.virtual_day(finish_of(e));
             self.bucket_insert((day & self.mask) as usize, e);
             self.cursor = self.cursor.min(day);
         }
@@ -532,12 +485,12 @@ impl<E: Slot> Ring<E> {
     }
 
     /// All stored entries, in unspecified order.
-    fn entries(&self) -> impl Iterator<Item = E> + '_ {
+    fn entries(&self) -> impl Iterator<Item = u64> + '_ {
         self.today
             .iter()
             .copied()
             .chain(self.lens.iter().enumerate().flat_map(move |(b, &l)| {
-                let base = b * E::CAP;
+                let base = b * CAP;
                 self.slab[base..base + l as usize]
                     .iter()
                     .chain(self.over[b].iter())
@@ -546,117 +499,13 @@ impl<E: Slot> Ring<E> {
     }
 }
 
-/// Rotating time-bucket priority queue of packed `(time, payload)` events
-/// with O(1) amortized push/pop and an always-warm minimum (O(1) peek:
-/// the back of the sorted current-day stack). Backs
-/// [`CompletionQueue`](crate::completion::CompletionQueue) as used by
-/// [`ServiceNode`](crate::ServiceNode) (payload = server index); the
-/// think-timer side uses the key-only `TimerCalendar` instantiation of
-/// the same ring.
-#[derive(Debug, Clone)]
-pub struct CalendarQueue {
-    ring: Ring<u128>,
-}
-
-impl Default for CalendarQueue {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl CalendarQueue {
-    /// Creates an empty queue (a minimal ring; the first resize adapts it).
-    pub fn new() -> Self {
-        CalendarQueue { ring: Ring::new() }
-    }
-
-    /// Number of stored events.
-    pub fn len(&self) -> usize {
-        self.ring.len
-    }
-
-    /// Whether the queue holds no events.
-    pub fn is_empty(&self) -> bool {
-        self.ring.len == 0
-    }
-
-    /// Current ring size (test/bench introspection).
-    pub fn num_buckets(&self) -> usize {
-        self.ring.lens.len()
-    }
-
-    /// Current bucket width in seconds (test/bench introspection).
-    pub fn width(&self) -> f64 {
-        self.ring.width
-    }
-
-    /// Inserts an event (O(1) amortized).
-    #[inline]
-    pub fn push(&mut self, t: f64, payload: usize) {
-        self.ring.push(pack(t, payload), t);
-    }
-
-    /// Earliest event time, if any (O(1): the back of the sorted stack).
-    #[inline]
-    pub fn peek_min_time(&self) -> Option<f64> {
-        self.ring.today.last().map(|&e| e.time())
-    }
-
-    /// Pops the earliest event if its time is ≤ `to` (under `f64` `>`
-    /// semantics: a NaN minimum never compares later, matching the heaps
-    /// this replaces). O(1) amortized.
-    #[inline]
-    pub fn pop_if_le(&mut self, to: f64) -> Option<(f64, usize)> {
-        let &e = self.ring.today.last()?;
-        let t = e.time();
-        if t > to {
-            return None;
-        }
-        self.ring.pop_min();
-        Some((t, e as u64 as usize))
-    }
-
-    /// Rebuilds the queue from `(time, payload)` entries in O(n), sizing
-    /// the ring and width to them (reconfigurations drain the pending set,
-    /// transform it — the DVFS re-key — and rebuild). `scratch` is left
-    /// cleared for reuse.
-    pub fn rebuild_from_unpacked(&mut self, scratch: &mut Vec<(f64, usize)>) {
-        let mut packed = std::mem::take(&mut self.ring.scratch);
-        packed.clear();
-        packed.extend(scratch.iter().map(|&(t, p)| pack(t, p)));
-        scratch.clear();
-        self.ring.place_all(&packed);
-        self.ring.scratch = packed;
-    }
-
-    /// Moves every `(time, payload)` entry into `out` (unspecified order)
-    /// and empties the queue, in O(n), keeping the ring allocation.
-    pub fn drain_unordered(&mut self, out: &mut Vec<(f64, usize)>) {
-        out.clear();
-        out.extend(self.ring.entries().map(unpack));
-        self.ring.clear();
-    }
-
-    /// The stored payloads, in unspecified order.
-    pub fn payloads(&self) -> impl Iterator<Item = usize> + '_ {
-        self.ring.entries().map(|e| e as u64 as usize)
-    }
-
-    /// Removes all events, keeping the ring allocation.
-    pub fn clear(&mut self) {
-        self.ring.clear();
-    }
-}
-
-/// The think-timer instantiation of the calendar ring: a multiset of
-/// event *times* stored as bare `u64` keys — no payload word, so entries
-/// are half the size of [`CalendarQueue`]'s, a slab bucket is exactly one
-/// cache line, and the 4096-client think pool packs twice as densely.
-/// Same pop order (key order = [`f64::total_cmp`] order), same resize
-/// policy.
+/// The think-timer calendar: a multiset of event *times* stored as
+/// order-preserving `u64` keys, with O(1) amortized push/pop and an
+/// always-warm minimum (O(1) peek: the back of the sorted current-day
+/// stack).
 #[derive(Debug, Clone)]
 pub(crate) struct TimerCalendar {
-    ring: Ring<u64>,
+    ring: Ring,
 }
 
 impl Default for TimerCalendar {
@@ -666,7 +515,8 @@ impl Default for TimerCalendar {
 }
 
 impl TimerCalendar {
-    /// Creates an empty timer calendar.
+    /// Creates an empty timer calendar (a minimal ring; the first resize
+    /// adapts it).
     pub(crate) fn new() -> Self {
         TimerCalendar { ring: Ring::new() }
     }
@@ -693,8 +543,8 @@ impl TimerCalendar {
         self.ring.today.last().map(|&k| finish_of(k))
     }
 
-    /// Pops the earliest expiry if it is ≤ `to` (O(1) amortized; same
-    /// NaN-minimum semantics as [`CalendarQueue::pop_if_le`]).
+    /// Pops the earliest expiry if it is ≤ `to` (under `f64` `>`
+    /// semantics: a NaN minimum never compares later). O(1) amortized.
     #[inline]
     pub(crate) fn pop_if_le(&mut self, to: f64) -> Option<f64> {
         let &k = self.ring.today.last()?;
@@ -717,12 +567,12 @@ impl TimerCalendar {
     /// Rebuilds the calendar from `times` in O(n), sizing the ring and
     /// width to them. `times` is left cleared for reuse.
     pub(crate) fn rebuild_from_times(&mut self, times: &mut Vec<f64>) {
-        let mut packed = std::mem::take(&mut self.ring.scratch);
-        packed.clear();
-        packed.extend(times.iter().map(|&t| key_of(t)));
+        let mut keys = std::mem::take(&mut self.ring.scratch);
+        keys.clear();
+        keys.extend(times.iter().map(|&t| key_of(t)));
         times.clear();
-        self.ring.place_all(&packed);
-        self.ring.scratch = packed;
+        self.ring.place_all(&keys);
+        self.ring.scratch = keys;
     }
 
     /// Removes all timers, keeping the ring allocation.
@@ -735,12 +585,16 @@ impl TimerCalendar {
 mod tests {
     use super::*;
 
-    fn drain_all(q: &mut CalendarQueue) -> Vec<(f64, usize)> {
+    fn drain_all(q: &mut TimerCalendar) -> Vec<f64> {
         let mut out = Vec::new();
-        while let Some(e) = q.pop_if_le(f64::INFINITY) {
-            out.push(e);
+        while let Some(t) = q.pop_if_le(f64::INFINITY) {
+            out.push(t);
         }
         out
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]
@@ -765,48 +619,33 @@ mod tests {
     }
 
     #[test]
-    fn pops_in_time_then_payload_order() {
-        let mut q = CalendarQueue::new();
-        q.push(2.0, 7);
-        q.push(1.0, 3);
-        q.push(2.0, 1);
-        q.push(1.0, 9);
-        q.push(0.5, 4);
-        assert_eq!(
-            drain_all(&mut q),
-            vec![(0.5, 4), (1.0, 3), (1.0, 9), (2.0, 1), (2.0, 7)],
-            "min time first, ties to the lowest payload"
-        );
-    }
-
-    #[test]
     fn pop_if_le_respects_bound() {
-        let mut q = CalendarQueue::new();
-        q.push(1.0, 0);
-        q.push(3.0, 1);
+        let mut q = TimerCalendar::new();
+        q.push(1.0);
+        q.push(3.0);
         assert_eq!(q.pop_if_le(0.5), None);
-        assert_eq!(q.pop_if_le(1.0), Some((1.0, 0)));
+        assert_eq!(q.pop_if_le(1.0), Some(1.0));
         assert_eq!(q.pop_if_le(2.0), None);
         assert_eq!(q.len(), 1);
         assert_eq!(q.peek_min_time(), Some(3.0));
     }
 
-    /// Day-boundary wraparound: with a fresh queue (4 buckets, width 1 s)
-    /// the times k, k+4, k+8 all alias into the same physical bucket —
-    /// consecutive rotations of the ring — and must still pop in time
+    /// Day-boundary wraparound: with a fresh calendar (4 buckets, width
+    /// 1 s) the times k, k+4, k+8 all alias into the same physical bucket
+    /// — consecutive rotations of the ring — and must still pop in time
     /// order, crossing the u64 "day" as the cursor advances.
     #[test]
     fn wraparound_at_day_boundaries() {
-        let mut q = CalendarQueue::new();
-        assert_eq!(q.num_buckets(), 4);
+        let mut q = TimerCalendar::new();
+        assert_eq!(q.ring.lens.len(), 4);
         // Same slot (day % 4 == 1) across three rotations, pushed shuffled.
-        q.push(9.5, 2); // day 9
-        q.push(1.5, 0); // day 1
-        q.push(5.5, 1); // day 5
+        q.push(9.5); // day 9
+        q.push(1.5); // day 1
+        q.push(5.5); // day 5
         assert_eq!(q.peek_min_time(), Some(1.5));
         assert_eq!(
             drain_all(&mut q),
-            vec![(1.5, 0), (5.5, 1), (9.5, 2)],
+            vec![1.5, 5.5, 9.5],
             "rotation aliasing must not reorder pops"
         );
     }
@@ -816,92 +655,86 @@ mod tests {
     /// search must jump the cursor straight to the population.
     #[test]
     fn empty_rotation_skips_to_far_future() {
-        let mut q = CalendarQueue::new();
-        q.push(0.25, 0);
-        q.push(1e9, 1); // ~2^30 rotations ahead of day 0
-        q.push(1e9 + 0.5, 2);
-        assert_eq!(q.pop_if_le(f64::INFINITY), Some((0.25, 0)));
+        let mut q = TimerCalendar::new();
+        q.push(0.25);
+        q.push(1e9); // ~2^30 rotations ahead of day 0
+        q.push(1e9 + 0.5);
+        assert_eq!(q.pop_if_le(f64::INFINITY), Some(0.25));
         // The cursor was on day 0; the survivors are a billion days out.
         assert_eq!(q.peek_min_time(), Some(1e9));
-        assert_eq!(drain_all(&mut q), vec![(1e9, 1), (1e9 + 0.5, 2)]);
+        assert_eq!(drain_all(&mut q), vec![1e9, 1e9 + 0.5]);
     }
 
-    /// Over-population doubles the ring; draining it back down shrinks it.
+    /// Over-population grows the ring; draining it back down shrinks it.
     #[test]
     fn resize_up_and_down_thresholds() {
-        let mut q = CalendarQueue::new();
-        let start = q.num_buckets();
+        let mut q = TimerCalendar::new();
+        let start = q.ring.lens.len();
         for i in 0..64 {
-            q.push(i as f64 * 0.1, i);
+            q.push(i as f64 * 0.1);
         }
+        let grown = q.ring.lens.len();
         assert!(
-            q.num_buckets() >= 16 && q.num_buckets() > start,
-            "64 events must outgrow the {start}-bucket ring: {}",
-            q.num_buckets()
+            grown >= 16 && grown > start,
+            "64 events must outgrow the {start}-bucket ring: {grown}"
         );
         assert!(
-            q.width() < 1.0,
+            q.ring.width < 1.0,
             "width must re-measure to the observed spacing: {}",
-            q.width()
+            q.ring.width
         );
-        let grown = q.num_buckets();
         let mut popped = Vec::new();
         while q.len() > 2 {
             popped.push(q.pop_if_le(f64::INFINITY).expect("non-empty"));
         }
         assert!(
-            q.num_buckets() < grown,
+            q.ring.lens.len() < grown,
             "draining to 2 events must shrink the ring: {}",
-            q.num_buckets()
+            q.ring.lens.len()
         );
         for w in popped.windows(2) {
             assert!(w[0] < w[1], "resizes must preserve pop order");
         }
     }
 
-    /// The DVFS re-key path: drain, rescale every time, rebuild — pops
-    /// must follow the *new* keys.
+    /// The population-shrink path: drain, rescale every time, rebuild —
+    /// pops must follow the *new* times.
     #[test]
     fn reenqueue_after_rescale_rebuild() {
-        let mut q = CalendarQueue::new();
+        let mut q = TimerCalendar::new();
         for i in 0..20 {
-            q.push(1.0 + i as f64, i);
+            q.push(1.0 + i as f64);
         }
-        let mut scratch = Vec::new();
-        q.drain_unordered(&mut scratch);
+        let mut times = Vec::new();
+        q.drain_times(&mut times);
         assert!(q.is_empty());
-        // Faster clock: halve every remaining time, reversing nothing but
-        // compressing the span (the width must follow suit).
-        for e in &mut scratch {
-            e.0 *= 0.5;
+        // Compress the span (the width must follow suit).
+        for t in &mut times {
+            *t *= 0.5;
         }
-        q.rebuild_from_unpacked(&mut scratch);
-        assert!(scratch.is_empty());
+        q.rebuild_from_times(&mut times);
+        assert!(times.is_empty());
         assert_eq!(q.len(), 20);
-        let got = drain_all(&mut q);
-        let want: Vec<(f64, usize)> = (0..20).map(|i| ((1.0 + i as f64) * 0.5, i)).collect();
-        assert_eq!(got, want);
+        let want: Vec<f64> = (0..20).map(|i| (1.0 + i as f64) * 0.5).collect();
+        assert_eq!(drain_all(&mut q), want);
     }
 
     /// Degenerate storm: every event at the *same* time — span 0, all in
     /// one bucket regardless of ring size, far past the slab slots and
-    /// deep into the overflow `Vec`. Pops must fall back to payload order
-    /// (the packed low bits) without resizing into pathology.
+    /// deep into the overflow `Vec` — without resizing into pathology.
     #[test]
     fn all_events_in_one_bucket_degenerates_gracefully() {
-        let mut q = CalendarQueue::new();
-        for i in (0..50).rev() {
-            q.push(7.25, i);
+        let mut q = TimerCalendar::new();
+        for _ in 0..50 {
+            q.push(7.25);
         }
-        let got = drain_all(&mut q);
-        let want: Vec<(f64, usize)> = (0..50).map(|i| (7.25, i)).collect();
-        assert_eq!(got, want, "tie storm pops in payload order");
+        assert_eq!(drain_all(&mut q), vec![7.25; 50], "tie storm pops all");
     }
 
     /// Non-finite and negative times follow `total_cmp` order end to end.
     #[test]
     fn total_cmp_extremes_pop_in_key_order() {
-        let mut q = CalendarQueue::new();
+        let mut q = TimerCalendar::new();
         let times = [
             f64::NAN,
             f64::INFINITY,
@@ -911,11 +744,16 @@ mod tests {
             -3.5,
             f64::NEG_INFINITY,
         ];
-        for (i, &t) in times.iter().enumerate() {
-            q.push(t, i);
+        for &t in &times {
+            q.push(t);
         }
-        let got: Vec<usize> = drain_all(&mut q).into_iter().map(|(_, p)| p).collect();
-        assert_eq!(got, vec![6, 5, 4, 3, 2, 1, 0], "reverse of push order");
+        let mut want = times;
+        want.reverse();
+        assert_eq!(
+            bits(&drain_all(&mut q)),
+            bits(&want),
+            "reverse of push order"
+        );
     }
 
     /// Pushes landing on the *current* day (below and above the cached
@@ -923,16 +761,13 @@ mod tests {
     /// bucket-append design would get wrong.
     #[test]
     fn pushes_into_current_day_stay_sorted() {
-        let mut q = CalendarQueue::new();
-        q.push(0.50, 0);
-        q.push(0.90, 1); // same day (width 1.0): sorted insert above
-        q.push(0.10, 2); // same day: new minimum
-        q.push(0.70, 3);
+        let mut q = TimerCalendar::new();
+        q.push(0.50);
+        q.push(0.90); // same day (width 1.0): sorted insert above
+        q.push(0.10); // same day: new minimum
+        q.push(0.70);
         assert_eq!(q.peek_min_time(), Some(0.10));
-        assert_eq!(
-            drain_all(&mut q),
-            vec![(0.10, 2), (0.50, 0), (0.70, 3), (0.90, 1)]
-        );
+        assert_eq!(drain_all(&mut q), vec![0.10, 0.50, 0.70, 0.90]);
     }
 
     /// A bucket that overflows its slab slots (more than `CAP` distinct
@@ -940,38 +775,40 @@ mod tests {
     /// and rebuilds.
     #[test]
     fn overflowed_bucket_keeps_every_entry() {
-        let mut q = CalendarQueue::new();
+        let mut q = TimerCalendar::new();
         // 20 distinct times inside one width-1.0 day of the fresh ring,
         // pushed in reverse: the bucket runs through its 8 slab slots and
         // deep into overflow before the growth rebuild spreads it out.
         for i in (0..20).rev() {
-            q.push(3.0 + i as f64 / 32.0, i);
+            q.push(3.0 + i as f64 / 32.0);
         }
         assert_eq!(q.len(), 20);
         assert_eq!(q.peek_min_time(), Some(3.0));
-        let got = drain_all(&mut q);
-        let want: Vec<(f64, usize)> = (0..20).map(|i| (3.0 + i as f64 / 32.0, i)).collect();
-        assert_eq!(got, want, "slab + overflow pop as one sorted day");
+        let want: Vec<f64> = (0..20).map(|i| 3.0 + i as f64 / 32.0).collect();
+        assert_eq!(
+            drain_all(&mut q),
+            want,
+            "slab + overflow pop as one sorted day"
+        );
     }
 
     #[test]
-    fn drain_and_payloads_cover_everything() {
-        let mut q = CalendarQueue::new();
+    fn drain_covers_everything() {
+        let mut q = TimerCalendar::new();
         for i in 0..17 {
-            q.push(i as f64 * 3.7, i);
+            q.push(i as f64 * 3.7);
         }
-        let mut seen: Vec<usize> = q.payloads().collect();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..17).collect::<Vec<_>>());
         let mut out = Vec::new();
-        q.drain_unordered(&mut out);
-        assert_eq!(out.len(), 17);
+        q.drain_times(&mut out);
+        out.sort_by(f64::total_cmp);
+        let want: Vec<f64> = (0..17).map(|i| i as f64 * 3.7).collect();
+        assert_eq!(out, want);
         assert!(q.is_empty());
         assert_eq!(q.peek_min_time(), None);
     }
 
-    /// The `u64` timer instantiation: same order, multiset semantics, and
-    /// the drain → transform → rebuild cycle, on bare time keys.
+    /// Same order, multiset semantics, and the drain → transform →
+    /// rebuild cycle.
     #[test]
     fn timer_calendar_orders_and_rebuilds() {
         let mut q = TimerCalendar::new();
@@ -991,10 +828,6 @@ mod tests {
         }
         q.rebuild_from_times(&mut times);
         assert!(times.is_empty());
-        let mut got = Vec::new();
-        while let Some(t) = q.pop_if_le(f64::INFINITY) {
-            got.push(t);
-        }
-        assert_eq!(got, vec![0.5, 1.3, 1.5, 2.0, 2.5, 4.5]);
+        assert_eq!(drain_all(&mut q), vec![0.5, 1.3, 1.5, 2.0, 2.5, 4.5]);
     }
 }

@@ -177,6 +177,10 @@ pub struct Engine {
     /// Closed-loop clients currently thinking (calendar queue of expiry
     /// times).
     thinking: ThinkPool,
+    /// The kick of a reconfiguration stall that outlived the last
+    /// interval: servers stay stalled past the boundary, so work that
+    /// queued meanwhile still needs dispatching when the stall ends.
+    pending_kick: Option<f64>,
     /// Lognormal σ of the per-interval background-interference slowdown.
     jitter_sigma: f64,
     jitter_rng: SimRng,
@@ -288,6 +292,7 @@ impl Engine {
             total_migrations: 0,
             power_override: None,
             thinking: ThinkPool::new(),
+            pending_kick: None,
             jitter_sigma: DEFAULT_JITTER_SIGMA,
             jitter_rng: root.fork("jitter"),
             lc_max_load_rps,
@@ -664,14 +669,24 @@ impl Engine {
         }
         self.node.begin_interval(self.now);
 
-        // Event loop for the interval.
+        // Event loop for the interval. Servers stalled until `now + stall`
+        // need a kick then, to start work that queued during the stall. A
+        // kick owed by a stall that outlived the last interval still
+        // stands unless this reconfiguration preempted, which restarts
+        // every stall; a DVFS stall only ever extends it.
+        let mut kick_at = (stall > 0.0).then_some(self.now + stall);
+        if let Some(owed) = self.pending_kick.take() {
+            if !preempt {
+                kick_at = Some(kick_at.map_or(owed, |k| k.max(owed)));
+            }
+        }
         let t_end = self.now + self.interval_s;
         let frac = self.load.load_at(self.now).max(0.0);
         let rate = frac * self.lc_max_load_rps;
-        match self.lc_closed_loop {
-            Some(cl) => self.run_events_closed(t_end, frac, stall, cl),
-            None => self.run_events(t_end, rate, stall),
-        }
+        self.pending_kick = match self.lc_closed_loop {
+            Some(cl) => self.run_events_closed(t_end, frac, kick_at, cl),
+            None => self.run_events(t_end, rate, kick_at),
+        };
 
         let node_iv = self.node.end_interval(t_end, self.lc_qos.percentile);
 
@@ -740,12 +755,9 @@ impl Engine {
         s.max(1.0)
     }
 
-    fn run_events(&mut self, t_end: f64, rate: f64, stall: f64) {
-        let mut kick_at = if stall > 0.0 {
-            Some(self.now + stall)
-        } else {
-            None
-        };
+    /// Open-loop event loop up to `t_end`. Returns the kick still owed
+    /// when `kick_at` falls at or after `t_end`.
+    fn run_events(&mut self, t_end: f64, rate: f64, mut kick_at: Option<f64>) -> Option<f64> {
         // Arrival *events* carry bursts of requests; thin the event rate so
         // the request rate equals the offered load. The distribution is
         // cached across intervals and only rebuilt when the offered load
@@ -802,6 +814,7 @@ impl Engine {
                 _ => unreachable!(),
             }
         }
+        kick_at
     }
 
     /// Closed-loop event loop: a population of `frac × max_clients` clients
@@ -811,17 +824,18 @@ impl Engine {
     /// normally).
     ///
     /// The pool is a calendar queue ([`ThinkPool`]): each think expiry is
-    /// an O(1) amortized bucket pop instead of the O(log clients) heap pop
-    /// of PRs 3–5 or the O(clients) scan before that, and population
-    /// shrink is one selection pass per boundary. Clients are
-    /// indistinguishable, so the calendar pool reproduces the heap- and
-    /// scan-based traces bit-for-bit.
-    fn run_events_closed(&mut self, t_end: f64, frac: f64, stall: f64, cl: ClosedLoop) {
-        let mut kick_at = if stall > 0.0 {
-            Some(self.now + stall)
-        } else {
-            None
-        };
+    /// an O(1) amortized bucket pop instead of an O(clients) scan, and
+    /// population shrink is one selection pass per boundary. Clients are
+    /// indistinguishable, so the calendar pool reproduces the scan-based
+    /// traces bit-for-bit. Returns the kick still owed, as
+    /// [`Engine::run_events`] does.
+    fn run_events_closed(
+        &mut self,
+        t_end: f64,
+        frac: f64,
+        mut kick_at: Option<f64>,
+        cl: ClosedLoop,
+    ) -> Option<f64> {
         let think = cached_exp(&mut self.think_cache, 1.0 / cl.think_mean_s.max(1e-9));
         let target = (frac * cl.max_clients as f64).round().max(0.0) as usize;
         let mut population = self.thinking.len() + self.node.queue_len() + self.node.in_flight();
@@ -882,6 +896,7 @@ impl Engine {
             }
         }
         self.completions_buf = completions;
+        kick_at
     }
 
     /// `alive_big`/`alive_small` are the LC servers that actually ran

@@ -7,13 +7,16 @@
 //!
 //! * [`ServiceNode`] — a FIFO queue feeding heterogeneous core-servers,
 //!   with per-request latencies, two-phase (compute + memory) service,
-//!   migration/DVFS transition stalls and cold-cache penalties;
+//!   migration/DVFS transition stalls and cold-cache penalties, held in
+//!   one flat array of server records sized for the six-core Juno;
 //! * [`Engine`] — steps one monitoring interval at a time under a
 //!   [`MachineConfig`], measuring tail latency, power, energy and batch
 //!   IPS exactly as the paper's QoS Monitor would;
 //! * [`LcModel`] / [`LoadPattern`] / [`BatchProgram`] — the traits the
 //!   `hipster-workloads` crate implements for Memcached, Web-Search, the
 //!   diurnal load and SPEC CPU2006 programs;
+//! * [`ThinkPool`] — closed-loop client think timers, on a calendar
+//!   queue (the crate's only calendar);
 //! * [`Trace`] — recorded runs plus the paper's summary metrics (QoS
 //!   guarantee, tardiness, energy, migrations);
 //! * deterministic RNG ([`SimRng`]) and distributions ([`dist`]).
@@ -59,16 +62,13 @@ pub mod dist;
 pub mod reference;
 
 mod calendar;
-mod completion;
 mod config;
 mod costs;
 mod engine;
 mod fault;
-mod freelist;
 mod jsonl;
 mod latency;
 mod nodemap;
-mod ordf64;
 mod request;
 mod rng;
 mod service;
@@ -77,8 +77,6 @@ mod topology;
 mod trace;
 mod traits;
 
-pub use calendar::CalendarQueue;
-pub use completion::CompletionQueue;
 pub use config::{EngineSpec, EngineSpecError};
 pub use costs::{ContentionModel, ReconfigCosts};
 pub use engine::{Engine, IntervalStats, MachineConfig, DEFAULT_JITTER_SIGMA};
@@ -90,7 +88,7 @@ pub use latency::{percentile, LatencyRecorder, P2Quantile};
 pub use nodemap::NodeOccupancyMap;
 pub use request::{Demand, QosTarget, Request, RequestId};
 pub use rng::{Sampler, SimRng};
-pub use service::{NodeInterval, QueuedNode, ServerSpec, ServiceNode};
+pub use service::{NodeInterval, ServerSpec, ServiceNode};
 pub use think::ThinkPool;
 pub use topology::{TopologyError, TopologySpec};
 pub use trace::{csv_header, csv_row, Trace};

@@ -1,12 +1,13 @@
 //! A two-level-u64 occupancy bitmap over cluster nodes, so least-loaded
 //! dispatch stays O(1) in cluster size.
 //!
-//! This is the PR 5 speed-class free-list idiom lifted one tier up: where
-//! `SpeedClassFreeList` buckets *servers* by speed class, [`NodeOccupancyMap`]
-//! buckets *nodes* by integer occupancy (queued work quanta). Each occupancy
-//! level keeps a membership bitmap (one bit per node) plus a summary word
-//! (one bit per membership word), and a per-level occupancy word marks which
-//! levels are non-empty. Picking the least-loaded node is then three
+//! [`NodeOccupancyMap`] buckets *nodes* by integer occupancy (queued work
+//! quanta). A cluster has up to thousands of nodes, so unlike a service
+//! node's handful of servers, a linear scan per dispatch decision would
+//! cost O(N). Each occupancy level keeps a membership bitmap (one bit per
+//! node) plus a summary word (one bit per membership word), and a
+//! per-level occupancy word marks which levels are non-empty. Picking the
+//! least-loaded node is then three
 //! constant-time bit scans instead of an O(N) linear scan, and moving a node
 //! between levels is two masked stores.
 //!

@@ -11,50 +11,35 @@
 //! Reconfigurations preempt in-flight requests (for core-mapping changes)
 //! or rescale them (for pure DVFS changes), charging the corresponding
 //! stall; this is how the paper's observation that "core-transitions are
-//! far more costly relative to DVFS changes" enters the model.
+//! far more costly relative to DVFS changes" enters the model. Work that a
+//! reconfiguration scheduled to start after its stall keeps waiting for
+//! that stall to end, even when a later reconfiguration lands inside it.
 //!
-//! # Event-count scalability
+//! # Layout
 //!
-//! The node is indexed so per-event dispatch cost is flat in the server
-//! count:
+//! The node is sized for the machine the paper evaluates — a 6-core Juno
+//! R1, so at most six servers and six in-flight requests. Each server is
+//! one record in a flat array holding its rate, its stall and the request
+//! in flight on it, and both per-event decisions are linear passes over
+//! that array:
 //!
-//! * pending completions live in a [`CalendarQueue`] of `(finish, server)`
-//!   events — finding and retiring the earliest completion is an O(1)
-//!   amortized bucket pop (PR 6; previously an O(log n) heap pop, and
-//!   before that a scan plus a float-equality re-scan);
-//! * free servers live in **speed-class bitmap free lists**
-//!   (`freelist.rs`): a small table of distinct effective speeds
-//!   (`speed / slowdown`), rebuilt only when a reconfiguration changes the
-//!   speed sequence, where each class keeps a two-level u64 bitset of its
-//!   free members — `dispatch` is "first non-empty class, find set bit" in
-//!   O(1), and servers still inside a reconfiguration stall wait in
-//!   parallel stalled bitmaps that are promoted by a word-wise merge when
-//!   the stall elapses;
-//! * the in-flight count is tracked incrementally, and interval-boundary
-//!   busy accounting walks the pending-completion entries (the busy
-//!   servers) rather than every server.
+//! * **next completion** — the busy server with the smallest finish time
+//!   under [`f64::total_cmp`], ties to the lowest index. The pick is
+//!   cached, so peeking is O(1); starting a request updates it with one
+//!   comparison, and a completion rescans;
+//! * **dispatch** — the free server whose stall has ended
+//!   (`available_at <= now`) with the largest effective speed
+//!   `speed / slowdown` under `total_cmp`, ties to the highest index.
 //!
-//! Tie-breaking reproduces the order the free-server max-heap (and the
-//! linear scans before it) produced — completions: lowest server index
-//! first; dispatch: fastest effective speed, ties toward the highest
-//! server index via leading-bit selection — so traces are bit-identical to
-//! both predecessors, property-tested against the frozen copies in
-//! [`crate::reference`] (`ReferenceNode`: pre-PR3 scans; `HeapNode`:
-//! PR 3/4-era heaps; `PackedHeapNode`: the PR 5 node around the frozen
-//! packed-`u128` completion heap).
-//!
-//! The node body is written once as [`QueuedNode`], generic over the
-//! [`CompletionQueue`] implementation; [`ServiceNode`] is the production
-//! instantiation over the calendar queue, and the reference node over the
-//! frozen heap shares every other line of code.
+//! Both tie orders are the ones the linear-scan oracle
+//! [`ReferenceNode`](crate::reference::ReferenceNode) pins, and every
+//! floating-point expression keeps that oracle's operand order, so the
+//! two produce bit-identical traces (`tests/node_equivalence.rs`).
 
 use std::collections::VecDeque;
 
 use hipster_platform::{CoreKind, Frequency};
 
-use crate::calendar::CalendarQueue;
-use crate::completion::CompletionQueue;
-use crate::freelist::SpeedClassFreeList;
 use crate::latency::LatencyRecorder;
 use crate::request::{Demand, Request, RequestId};
 
@@ -71,54 +56,58 @@ pub struct ServerSpec {
     pub slowdown: f64,
 }
 
-/// Per-server state the steady-state event path touches, 32 bytes — two
-/// servers per cache line. Retiring a completion reads and writes only
-/// this record (plus the free-list bit); the in-flight request's arrival
-/// and start are flattened in (`repr(C)` pins the layout).
-///
-/// There is deliberately no "busy" flag and no stored finish time: **the
-/// pending-completion queue is the busy set** — a server is in flight iff
-/// it has a queue entry, and that entry carries the finish time. Cold
-/// paths (preemption, DVFS rescale, the oldest-age fallback) iterate the
-/// queue's entries instead of sweeping every server.
-#[derive(Debug, Clone, Copy, Default)]
-#[repr(C)]
-struct HotServer {
-    /// Earliest time this server may start (end of a reconfiguration
-    /// stall; its completion time while idle).
-    available_at: f64,
-    /// Arrival time of the in-flight request (valid while busy).
-    arrival: f64,
-    /// When the current execution (re)started (valid while busy).
-    started: f64,
-    busy_in_interval: f64,
-}
-
-/// Per-server service rate, read by dispatch only (four per cache line).
-#[derive(Debug, Clone, Copy, Default)]
-struct Rate {
+/// One server: its service rate, its stall, and the request in flight on
+/// it (the request fields are meaningful only while `busy`).
+#[derive(Debug, Clone, Copy)]
+struct Server {
     /// Compute speed of the backing core (work units per second).
     speed: f64,
     /// Contention slowdown ≥ 1.
     slowdown: f64,
+    /// Dispatch key, `speed / slowdown`.
+    eff: f64,
+    /// Earliest time this server may start work: the end of a
+    /// reconfiguration stall, or its last completion time.
+    available_at: f64,
+    /// Whether `req` is in flight.
+    busy: bool,
+    /// The in-flight request, its demand as of `started`.
+    req: Request,
+    /// When the in-flight request's current execution (re)started; later
+    /// than the current time while it waits out a reconfiguration stall.
+    started: f64,
+    /// When the in-flight request completes.
+    finish: f64,
+    /// Busy seconds accumulated in the current interval.
+    busy_in_interval: f64,
 }
 
-impl Rate {
-    fn service_time(&self, req: &Request) -> f64 {
-        (req.work_left / self.speed + req.mem_left) * self.slowdown
+impl Server {
+    /// An idle server built from `spec`, stalled until `available_at`.
+    fn idle(spec: &ServerSpec, available_at: f64) -> Self {
+        Server {
+            speed: spec.speed,
+            slowdown: spec.slowdown,
+            eff: spec.speed / spec.slowdown,
+            available_at,
+            busy: false,
+            req: Request::new(RequestId(0), 0.0, Demand::new(0.0, 0.0)),
+            started: 0.0,
+            finish: 0.0,
+            busy_in_interval: 0.0,
+        }
     }
-}
 
-/// Per-server state only reconfigurations touch (dispatch writes the
-/// in-flight demand here without ever reading it back on the hot path).
-#[derive(Debug, Clone, Copy, Default)]
-struct ColdServer {
-    /// Remaining compute demand of the in-flight request.
-    work_left: f64,
-    /// Remaining memory demand of the in-flight request.
-    mem_left: f64,
-    /// Id of the in-flight request (preemption requeues in id order).
-    id: u64,
+    /// Service time of the in-flight request's remaining demand.
+    fn service_time(&self) -> f64 {
+        (self.req.work_left / self.speed + self.req.mem_left) * self.slowdown
+    }
+
+    /// Busy seconds of the in-flight request between the interval start
+    /// and `now` (zero while it waits for its stall).
+    fn busy_until(&self, now: f64, interval_start: f64) -> f64 {
+        (now - self.started.max(interval_start)).max(0.0)
+    }
 }
 
 /// Statistics of one completed monitoring interval of the service node.
@@ -144,57 +133,21 @@ pub struct NodeInterval {
     pub queue_len: usize,
 }
 
-/// FIFO multi-server queueing node for the latency-critical workload,
-/// generic over its pending-completion index `Q`.
-///
-/// Indexed for event-count scalability: pending completions in a
-/// `(finish, server)` min-queue (the production [`CalendarQueue`]: O(1)
-/// amortized), free servers in speed-class bitmap free lists (O(1)
-/// dispatch — `freelist.rs`) and an incremental in-flight count, with
-/// tie-breaking that reproduces the PR 5 packed heap, the PR 3/4-era
-/// heaps, and the original linear scans bit-for-bit (see
-/// [`crate::reference`]).
+/// FIFO multi-server queueing node for the latency-critical workload: one
+/// flat array of server records, a cached next completion, and linear
+/// dispatch (see the module docs for the tie orders).
 #[derive(Debug, Clone)]
-pub struct QueuedNode<Q: CompletionQueue> {
+pub struct ServiceNode {
     queue: VecDeque<Request>,
-    /// Hot per-server records (see [`HotServer`]).
-    hot: Vec<HotServer>,
-    /// Per-server service rates (dispatch read path).
-    rate: Vec<Rate>,
-    /// Cold per-server records (reconfiguration paths).
-    cold: Vec<ColdServer>,
-    /// Per-server effective speed, `speed / slowdown` (the speed-class
-    /// key; read only by the free-list rebuild).
-    eff: Vec<f64>,
-    /// Min-queue of pending completions, one entry per busy server.
-    /// Entries are never stale: reconfigurations rebuild the queue and
-    /// completions pop their own entry.
-    completions: Q,
-    /// Free servers bucketed by effective speed: per-class two-level
-    /// bitmaps of dispatchable servers, plus parallel stalled bitmaps for
-    /// servers parked inside a reconfiguration stall. Reconfigurations park
-    /// every idle server stalled, and dispatch demotes popped servers whose
-    /// stall has not elapsed at its (non-monotonic) timestamp; the first
-    /// dispatch with a non-empty queue promotes the eligible ones (usually
-    /// one word-wise merge), so on the steady-state hot path the emptiness
-    /// check is all that runs.
-    free: SpeedClassFreeList,
+    servers: Vec<Server>,
+    /// Number of busy servers.
+    in_flight: usize,
+    /// The busy server that completes next, by (`total_cmp` finish, lowest
+    /// index); `None` while no request is in flight.
+    next: Option<usize>,
     recorder: LatencyRecorder,
-    /// Reused buffer for preempted in-flight requests (no allocation per
-    /// reconfiguration once warm).
+    /// Reused buffer for preempted in-flight requests.
     preempt_scratch: Vec<Request>,
-    /// Reused buffer for the completion-heap drain/rebuild at
-    /// reconfiguration (heapified in O(n) rather than pushed in
-    /// O(n log n)).
-    completion_scratch: Vec<(f64, usize)>,
-    /// Reused busy-membership scratch for the free-list rebuild.
-    busy_scratch: Vec<bool>,
-    /// Reused pending-set drain buffer for preemption.
-    preempt_drain_scratch: Vec<(f64, usize)>,
-    /// Set when every server shares one bit-identical `(speed, slowdown)`
-    /// pair — the common at-scale case (a homogeneous allocation at one
-    /// DVFS point) — letting dispatch skip the per-server rate load.
-    uniform_rate: Option<Rate>,
     next_id: u64,
     interval_start: f64,
     interval_arrivals: usize,
@@ -206,27 +159,16 @@ pub struct QueuedNode<Q: CompletionQueue> {
     timeout_s: Option<f64>,
 }
 
-/// The production service node: [`QueuedNode`] over the O(1) amortized
-/// [`CalendarQueue`] completion index.
-pub type ServiceNode = QueuedNode<CalendarQueue>;
-
-impl<Q: CompletionQueue> QueuedNode<Q> {
+impl ServiceNode {
     /// Creates a node with no servers (configure before use).
     pub fn new() -> Self {
-        QueuedNode {
+        ServiceNode {
             queue: VecDeque::new(),
-            hot: Vec::new(),
-            rate: Vec::new(),
-            cold: Vec::new(),
-            eff: Vec::new(),
-            completions: Q::default(),
-            free: SpeedClassFreeList::new(),
+            servers: Vec::new(),
+            in_flight: 0,
+            next: None,
             recorder: LatencyRecorder::new(),
             preempt_scratch: Vec::new(),
-            completion_scratch: Vec::new(),
-            busy_scratch: Vec::new(),
-            preempt_drain_scratch: Vec::new(),
-            uniform_rate: None,
             next_id: 0,
             interval_start: 0.0,
             interval_arrivals: 0,
@@ -251,7 +193,7 @@ impl<Q: CompletionQueue> QueuedNode<Q> {
 
     /// Number of servers currently configured.
     pub fn num_servers(&self) -> usize {
-        self.hot.len()
+        self.servers.len()
     }
 
     /// Requests waiting in the queue (excluding in-flight).
@@ -259,10 +201,9 @@ impl<Q: CompletionQueue> QueuedNode<Q> {
         self.queue.len()
     }
 
-    /// Requests currently being serviced (O(1): the pending-completion
-    /// count *is* the busy-server count).
+    /// Requests currently being serviced.
     pub fn in_flight(&self) -> usize {
-        self.completions.len()
+        self.in_flight
     }
 
     /// Total requests completed since construction.
@@ -275,13 +216,11 @@ impl<Q: CompletionQueue> QueuedNode<Q> {
     /// * `preempt` — `true` for core-mapping changes: all in-flight requests
     ///   are preempted (remaining demand preserved) and requeued in arrival
     ///   order. `false` for pure DVFS changes: in-flight requests continue
-    ///   with their remaining demand rescaled to the new speed.
+    ///   with their remaining demand rescaled to the new speed; one still
+    ///   waiting for an earlier stall starts when that stall ends, or when
+    ///   this one does if it ends later.
     /// * `stall_s` — servers may not start work before `now + stall_s`
     ///   (migration or DVFS transition latency).
-    ///
-    /// Rebuilds the completion queue (in O(n)) and the free-list
-    /// bitmaps; the speed-class table itself is re-derived only when the
-    /// per-server effective-speed sequence actually changed.
     ///
     /// # Panics
     ///
@@ -294,142 +233,79 @@ impl<Q: CompletionQueue> QueuedNode<Q> {
             assert!(s.speed > 0.0, "server speed must be positive: {s:?}");
             assert!(s.slowdown >= 1.0, "slowdown must be ≥ 1: {s:?}");
         }
-        let mut busy = std::mem::take(&mut self.completion_scratch);
         if preempt {
             self.preempt_all(now);
-            busy.clear(); // preemption drained the pending set
-            self.hot.clear();
-            self.rate.clear();
-            self.cold.clear();
-            self.eff.clear();
-            for &spec in specs {
-                self.hot.push(HotServer {
-                    available_at: now + stall_s,
-                    ..HotServer::default()
-                });
-                self.rate.push(Rate {
-                    speed: spec.speed,
-                    slowdown: spec.slowdown,
-                });
-                self.cold.push(ColdServer::default());
-                self.eff.push(spec.speed / spec.slowdown);
-            }
+            self.servers.clear();
+            self.servers
+                .extend(specs.iter().map(|spec| Server::idle(spec, now + stall_s)));
         } else {
             assert_eq!(
                 specs.len(),
-                self.hot.len(),
+                self.servers.len(),
                 "DVFS-only reconfiguration cannot change the server count"
             );
-            for (i, &spec) in specs.iter().enumerate() {
-                self.rate[i] = Rate {
-                    speed: spec.speed,
-                    slowdown: spec.slowdown,
-                };
-                self.eff[i] = spec.speed / spec.slowdown;
-                self.hot[i].available_at = self.hot[i].available_at.max(now + stall_s);
-            }
-            // Rescale the in-flight requests — exactly the servers with a
-            // pending completion: consume demand proportionally to elapsed
-            // service time, then recompute the finish under the new spec.
             let interval_start = self.interval_start;
-            self.completions.drain_unordered(&mut busy);
-            for entry in &mut busy {
-                let (finish, i) = *entry;
-                let h = &mut self.hot[i];
-                let left = remaining_fraction(h.started, finish, now);
-                let c = &mut self.cold[i];
-                c.work_left *= left;
-                c.mem_left *= left;
-                h.busy_in_interval += (now - h.started.max(interval_start)).max(0.0);
-                h.started = now;
-                let r = self.rate[i];
-                let t = (c.work_left / r.speed + c.mem_left) * r.slowdown;
-                *entry = ((now + stall_s) + t, i);
+            for (s, spec) in self.servers.iter_mut().zip(specs) {
+                s.speed = spec.speed;
+                s.slowdown = spec.slowdown;
+                s.eff = spec.speed / spec.slowdown;
+                s.available_at = s.available_at.max(now + stall_s);
+                if !s.busy {
+                    continue;
+                }
+                if s.started > now {
+                    // Not started yet: no demand consumed, and the start
+                    // waits for whichever stall ends last.
+                    s.started = s.started.max(now + stall_s);
+                    s.finish = s.started + s.service_time();
+                } else {
+                    // Consume demand in proportion to the elapsed service
+                    // time, then recompute the finish under the new rate.
+                    let left = remaining_fraction(s.started, s.finish, now);
+                    s.req.work_left *= left;
+                    s.req.mem_left *= left;
+                    s.busy_in_interval += s.busy_until(now, interval_start);
+                    s.started = now;
+                    s.finish = (now + stall_s) + s.service_time();
+                }
             }
+            self.next = self.earliest_completion();
         }
-        let first = specs[0];
-        self.uniform_rate = specs
-            .iter()
-            .all(|sp| {
-                sp.speed.to_bits() == first.speed.to_bits()
-                    && sp.slowdown.to_bits() == first.slowdown.to_bits()
-            })
-            .then_some(Rate {
-                speed: first.speed,
-                slowdown: first.slowdown,
-            });
-        self.rebuild_index(&mut busy);
-        self.completion_scratch = busy;
         self.dispatch(now + stall_s);
     }
 
     /// Revokes every server at time `now` — the fault-injection layer's
-    /// full-revocation path ([`QueuedNode::reconfigure`] itself rejects
+    /// full-revocation path ([`ServiceNode::reconfigure`] itself rejects
     /// an empty server list). In-flight requests are preempted with their
-    /// remaining demand preserved and requeued in arrival order; the
-    /// server set, speed-class free lists, and pending-completion queue
-    /// all empty out. Arrivals keep queueing (and timed-out ones keep
-    /// shedding at dispatch) until a preempting `reconfigure` brings
+    /// remaining demand preserved and requeued in arrival order, and the
+    /// server set empties out. Arrivals keep queueing (and timed-out ones
+    /// keep shedding at dispatch) until a preempting `reconfigure` brings
     /// servers back.
     pub fn revoke_all(&mut self, now: f64) {
         self.preempt_all(now);
-        self.hot.clear();
-        self.rate.clear();
-        self.cold.clear();
-        self.eff.clear();
-        self.uniform_rate = None;
-        let mut busy = std::mem::take(&mut self.completion_scratch);
-        busy.clear();
-        self.rebuild_index(&mut busy);
-        self.completion_scratch = busy;
+        self.servers.clear();
         self.dispatch(now);
     }
 
-    /// Rebuilds the free-list bitmaps and the pending-completion queue
-    /// (`busy`, drained and transformed by the caller; consumed here).
-    /// Free servers all enter the stalled bitmaps; the next dispatch
-    /// promotes the ones whose `available_at` has passed (one word-wise
-    /// merge in the common case).
-    fn rebuild_index(&mut self, busy: &mut Vec<(f64, usize)>) {
-        self.free.rebuild(self.eff.iter().copied());
-        let n = self.hot.len();
-        self.busy_scratch.clear();
-        self.busy_scratch.resize(n, false);
-        for &(_, i) in busy.iter() {
-            self.busy_scratch[i] = true;
-        }
-        for i in 0..n {
-            if !self.busy_scratch[i] {
-                self.free.mark_stalled(i, self.hot[i].available_at);
-            }
-        }
-        // O(n) rebuild; pop order over distinct `(finish, server)` keys
-        // is the same as for a queue built by pushes.
-        self.completions.rebuild_from(busy);
-    }
-
+    /// Preempts every in-flight request at `now` and requeues them, in
+    /// arrival order, ahead of the waiting ones.
     fn preempt_all(&mut self, now: f64) {
         let interval_start = self.interval_start;
-        let mut busy = std::mem::take(&mut self.preempt_drain_scratch);
-        self.completions.drain_unordered(&mut busy);
         let mut preempted = std::mem::take(&mut self.preempt_scratch);
         preempted.clear();
-        for &(finish, i) in &busy {
-            let h = &mut self.hot[i];
-            h.busy_in_interval += (now - h.started.max(interval_start)).max(0.0);
-            let left = remaining_fraction(h.started, finish, now);
-            let c = &self.cold[i];
+        for s in self.servers.iter_mut().filter(|s| s.busy) {
+            s.busy = false;
+            s.busy_in_interval += s.busy_until(now, interval_start);
+            let left = remaining_fraction(s.started, s.finish, now);
             preempted.push(Request {
-                id: RequestId(c.id),
-                arrival: h.arrival,
-                work_left: c.work_left * left,
-                mem_left: c.mem_left * left,
+                work_left: s.req.work_left * left,
+                mem_left: s.req.mem_left * left,
+                ..s.req
             });
         }
-        self.preempt_drain_scratch = busy;
-        // Requeue ahead of waiting requests, preserving arrival order (ids
-        // are unique, so the sort is a total order regardless of the
-        // unordered drain above).
+        self.in_flight = 0;
+        self.next = None;
+        // Ids grow with arrival time.
         preempted.sort_by_key(|r| r.id);
         for req in preempted.drain(..).rev() {
             self.queue.push_front(req);
@@ -443,8 +319,8 @@ impl<Q: CompletionQueue> QueuedNode<Q> {
         self.interval_arrivals = 0;
         self.interval_completions = 0;
         self.interval_timeouts = 0;
-        for h in &mut self.hot {
-            h.busy_in_interval = 0.0;
+        for s in &mut self.servers {
+            s.busy_in_interval = 0.0;
         }
     }
 
@@ -454,62 +330,88 @@ impl<Q: CompletionQueue> QueuedNode<Q> {
         let req = Request::new(RequestId(self.next_id), now, demand);
         self.next_id += 1;
         self.interval_arrivals += 1;
-        // Fast path: nothing queued and no stall bookkeeping pending —
-        // place the request directly, skipping the queue round-trip and
-        // the timeout/promotion checks `dispatch` would no-op through (a
-        // just-arrived request has age 0, so it can never be shed).
-        if self.queue.is_empty() && !self.free.has_stalled() {
-            loop {
-                match self.free.pop_best() {
-                    Some(idx) if self.hot[idx].available_at > now => {
-                        self.free.mark_stalled(idx, self.hot[idx].available_at);
-                    }
-                    Some(idx) => {
-                        self.start_request(idx, req, now);
-                        return;
-                    }
-                    None => break,
-                }
-            }
+        if !self.queue.is_empty() {
+            self.queue.push_back(req);
+            self.dispatch(now);
+            return;
         }
-        self.queue.push_back(req);
-        self.dispatch(now);
+        // Nothing waits ahead of it, and a request of age 0 cannot have
+        // timed out: start it directly when a server is free.
+        match self.pick_server(now) {
+            Some(i) => self.start(i, req, now),
+            None => self.queue.push_back(req),
+        }
     }
 
-    /// Earliest pending completion time, if any request is in flight (O(1):
-    /// a peek at the completion queue's cached minimum).
+    /// Earliest pending completion time, if any request is in flight.
     pub fn next_completion(&self) -> Option<f64> {
-        self.completions.peek_finish()
+        self.next.map(|i| self.servers[i].finish)
     }
 
     /// Processes all completions up to and including time `to`.
     pub fn advance(&mut self, to: f64) {
-        while let Some((finish, server)) = self.completions.pop_if_le(to) {
-            self.complete_server(server, finish);
-        }
+        while self.complete_next(to).is_some() {}
     }
 
-    /// Like [`QueuedNode::advance`], but appends each completion time to
+    /// Like [`ServiceNode::advance`], but appends each completion time to
     /// `out` (closed-loop generators schedule think timers from these).
     pub fn advance_collect(&mut self, to: f64, out: &mut Vec<f64>) {
-        while let Some((finish, server)) = self.completions.pop_if_le(to) {
-            self.complete_server(server, finish);
-            out.push(finish);
+        while let Some(t) = self.complete_next(to) {
+            out.push(t);
         }
     }
 
-    /// Retires the request on server `idx` at its finish time `t` (the
-    /// popped completion entry), then dispatches onto the freed server.
-    fn complete_server(&mut self, idx: usize, t: f64) {
-        let h = &mut self.hot[idx];
-        h.busy_in_interval += t - h.started.max(self.interval_start);
-        h.available_at = t;
-        let latency = (t - h.arrival).max(0.0);
-        self.free.mark_free(idx);
-        self.recorder.record(latency);
+    /// Retires the next completion if it is due by `to` (under `f64` `>`
+    /// semantics), then dispatches onto the freed server. Returns the
+    /// completion time.
+    fn complete_next(&mut self, to: f64) -> Option<f64> {
+        let i = self.next?;
+        let interval_start = self.interval_start;
+        let s = &mut self.servers[i];
+        let t = s.finish;
+        if t > to {
+            return None;
+        }
+        s.busy = false;
+        s.busy_in_interval += t - s.started.max(interval_start);
+        s.available_at = t;
+        self.recorder.record(s.req.age(t));
+        self.in_flight -= 1;
         self.interval_completions += 1;
         self.total_completed += 1;
+        self.next = self.earliest_completion();
         self.dispatch(t);
+        Some(t)
+    }
+
+    /// The busy server that completes first: smallest finish under
+    /// `total_cmp`, ties to the lowest index.
+    fn earliest_completion(&self) -> Option<usize> {
+        let mut best: Option<(usize, f64)> = None;
+        for (i, s) in self.servers.iter().enumerate() {
+            if s.busy && best.map_or(true, |(_, f)| s.finish.total_cmp(&f).is_lt()) {
+                best = Some((i, s.finish));
+            }
+        }
+        best.map(|(i, _)| i)
+    }
+
+    /// The free server whose stall has ended by `now` with the largest
+    /// effective speed under `total_cmp`, ties to the highest index.
+    fn pick_server(&self, now: f64) -> Option<usize> {
+        if self.in_flight == self.servers.len() {
+            return None;
+        }
+        let mut best: Option<(usize, f64)> = None;
+        for (i, s) in self.servers.iter().enumerate() {
+            if !s.busy
+                && s.available_at <= now
+                && best.map_or(true, |(_, e)| s.eff.total_cmp(&e).is_ge())
+            {
+                best = Some((i, s.eff));
+            }
+        }
+        best.map(|(i, _)| i)
     }
 
     /// Dispatches queued requests to free servers (fastest server first),
@@ -526,53 +428,34 @@ impl<Q: CompletionQueue> QueuedNode<Q> {
                 self.interval_timeouts += 1;
             }
         }
-        if self.queue.is_empty() {
-            return;
-        }
-        // Stalled bitmaps are only populated between a reconfiguration and
-        // its kick, so this is an O(1) emptiness check on the hot path.
-        if self.free.has_stalled() {
-            let hot = &self.hot;
-            self.free.promote(now, |i| hot[i].available_at);
-        }
         while !self.queue.is_empty() {
-            // Fastest free server whose stall has elapsed: the best set
-            // bit. Dispatch timestamps are not monotonic — a
-            // reconfiguration dispatches at `now + stall` and the event loop
-            // then delivers arrivals *inside* the stall window — so a popped
-            // server may still be stalled at this `now`; demote it back to
-            // the stalled bitmaps (popping in (speed, index) order keeps the
-            // first eligible pop the fastest eligible server).
-            let Some(idx) = self.free.pop_best() else {
+            let Some(i) = self.pick_server(now) else {
                 return;
             };
-            if self.hot[idx].available_at > now {
-                self.free.mark_stalled(idx, self.hot[idx].available_at);
-                continue;
-            }
             let req = self.queue.pop_front().expect("queue non-empty");
-            self.start_request(idx, req, now);
+            self.start(i, req, now);
         }
     }
 
-    /// Starts `req` on free, eligible server `idx` at time `now`.
-    #[inline]
-    fn start_request(&mut self, idx: usize, req: Request, now: f64) {
-        // Same bits in either branch; the uniform fast path just avoids
-        // touching the rate array.
-        let service = match self.uniform_rate {
-            Some(r) => r.service_time(&req),
-            None => self.rate[idx].service_time(&req),
+    /// Starts `req` on free, eligible server `i` at time `now`.
+    fn start(&mut self, i: usize, req: Request, now: f64) {
+        let s = &mut self.servers[i];
+        s.busy = true;
+        s.req = req;
+        s.started = now;
+        s.finish = now + s.service_time();
+        let finish = s.finish;
+        self.in_flight += 1;
+        let first = match self.next {
+            Some(j) => finish
+                .total_cmp(&self.servers[j].finish)
+                .then(i.cmp(&j))
+                .is_lt(),
+            None => true,
         };
-        let finish = now + service;
-        let h = &mut self.hot[idx];
-        h.arrival = req.arrival;
-        h.started = now;
-        let c = &mut self.cold[idx];
-        c.work_left = req.work_left;
-        c.mem_left = req.mem_left;
-        c.id = req.id.0;
-        self.completions.push(finish, idx);
+        if first {
+            self.next = Some(i);
+        }
     }
 
     /// Called by the engine when servers stalled until `t` become free, to
@@ -590,19 +473,15 @@ impl<Q: CompletionQueue> QueuedNode<Q> {
     /// per-interval allocation — it is owned by the caller's interval
     /// record, so it cannot be recycled here.
     pub fn end_interval(&mut self, t_end: f64, p: f64) -> NodeInterval {
-        // Account in-flight busy time up to the interval boundary. The
-        // pending-completion entries are exactly the busy servers (one
-        // entry each), so this walks O(in-flight) servers, not all of them.
         let interval_start = self.interval_start;
-        for i in self.completions.servers() {
-            let h = &mut self.hot[i];
-            h.busy_in_interval += t_end - h.started.max(interval_start);
+        for s in self.servers.iter_mut().filter(|s| s.busy) {
+            s.busy_in_interval += t_end - s.started.max(interval_start);
         }
-        let dur = (t_end - self.interval_start).max(f64::EPSILON);
+        let dur = (t_end - interval_start).max(f64::EPSILON);
         let busy: Vec<f64> = self
-            .hot
+            .servers
             .iter()
-            .map(|h| (h.busy_in_interval / dur).clamp(0.0, 1.0))
+            .map(|s| (s.busy_in_interval / dur).clamp(0.0, 1.0))
             .collect();
         let (tail, mean, _n) = self.recorder.take_interval(p);
         let tail = tail.unwrap_or_else(|| self.oldest_age(t_end));
@@ -619,13 +498,14 @@ impl<Q: CompletionQueue> QueuedNode<Q> {
 
     /// Age of the oldest request still in the system. Only consulted when
     /// an interval ends with zero completions (a cold, near-idle or fully
-    /// wedged interval), so the O(n) scan is off the hot path.
+    /// wedged interval).
     fn oldest_age(&self, now: f64) -> f64 {
         let queued = self.queue.front().map(|r| r.age(now));
         let in_flight = self
-            .completions
-            .servers()
-            .map(|i| (now - self.hot[i].arrival).max(0.0))
+            .servers
+            .iter()
+            .filter(|s| s.busy)
+            .map(|s| s.req.age(now))
             .max_by(f64::total_cmp);
         match (queued, in_flight) {
             (Some(a), Some(b)) => a.max(b),
@@ -636,7 +516,7 @@ impl<Q: CompletionQueue> QueuedNode<Q> {
     }
 }
 
-impl<Q: CompletionQueue> Default for QueuedNode<Q> {
+impl Default for ServiceNode {
     fn default() -> Self {
         Self::new()
     }
@@ -715,8 +595,8 @@ mod tests {
 
     #[test]
     fn equal_speed_tie_breaks_to_highest_index() {
-        // The old `max_by` scan returned the *last* maximal server; the
-        // free heap must reproduce that.
+        // The oracle's `max_by` scan returns the *last* maximal server;
+        // dispatch must reproduce that.
         let mut n = ServiceNode::new();
         n.reconfigure(
             0.0,
@@ -740,9 +620,9 @@ mod tests {
     #[test]
     fn equal_finish_completes_lowest_index_first() {
         // Two identical servers, two identical requests submitted together:
-        // both finish at the same instant; the completion heap must retire
-        // server 0's request first (the old `position` scan order). The
-        // third request then dispatches onto server 0.
+        // both finish at the same instant; server 0's request must retire
+        // first (the oracle's `position` scan order). The third request
+        // then dispatches onto server 0.
         let mut n = ServiceNode::new();
         n.reconfigure(
             0.0,
@@ -959,6 +839,29 @@ mod tests {
         n.advance(100.0);
         assert_eq!(n.in_flight(), 0);
         assert_eq!(n.total_completed(), 2);
+    }
+
+    #[test]
+    fn stall_survives_a_dvfs_reconfigure_inside_it() {
+        // A 0.05-work job runs from t=0. A preempting remap at 0.01 with a
+        // 30 ms stall restarts its remaining 0.04 units at 0.04, due 0.08.
+        let mut n = one_server(1.0);
+        n.arrive(0.0, Demand::new(0.05, 0.0));
+        n.reconfigure(0.01, &[spec(CoreKind::Big, 1.0)], true, 0.03);
+        let due = n.next_completion().expect("in flight");
+        assert!((due - 0.08).abs() < 1e-12, "{due}");
+        // Re-applying the same spec inside the stall must not start the
+        // work early.
+        n.reconfigure(0.02, &[spec(CoreKind::Big, 1.0)], false, 0.0);
+        assert_eq!(n.next_completion(), Some(due));
+        // A DVFS stall that ends later moves the start to its end.
+        n.reconfigure(0.03, &[spec(CoreKind::Big, 1.0)], false, 0.02);
+        let due = n.next_completion().expect("in flight");
+        assert!((due - 0.09).abs() < 1e-12, "{due}");
+        n.advance(0.0899);
+        assert_eq!(n.total_completed(), 0);
+        n.advance(1.0);
+        assert_eq!(n.total_completed(), 1);
     }
 
     #[test]

@@ -12,21 +12,19 @@
 //!   retiring the clients that would submit last.
 //!
 //! The pre-PR3 engine used a plain `Vec` with an O(n) scan for each of
-//! these; PR 3 replaced it with a binary min-heap (O(log n) push/pop —
-//! frozen as [`HeapThinkPool`](crate::reference::HeapThinkPool)). Since
-//! PR 6 the pool is a calendar queue — the key-only `TimerCalendar`
-//! instantiation: clients are indistinguishable, so each entry is a bare
-//! `u64` time key (half the size of the completion calendar's packed
-//! pairs). At 4096 thinking clients the heap's pop walked ~12
-//! cache-hostile levels per event, while the calendar's time buckets make
-//! push and pop-min O(1) amortized — think expiries are `now +
-//! Exp(think)` draws, spread over a few mean think times, exactly the
-//! regime the queue's width tracks. `retire_latest` stays one O(n)
-//! selection per interval boundary.
+//! these, kept as the oracle
+//! [`ReferenceThinkPool`](crate::reference::ReferenceThinkPool). The pool
+//! is a calendar queue (`TimerCalendar`): clients are
+//! indistinguishable, so each entry is a bare `u64` time key. At 4096
+//! thinking clients a binary heap's pop walks ~12 cache-hostile levels per
+//! event, while the calendar's time buckets make push and pop-min O(1)
+//! amortized — think expiries are `now + Exp(think)` draws, spread over a
+//! few mean think times, exactly the regime the queue's width tracks.
+//! `retire_latest` stays one O(n) selection per interval boundary.
 //!
 //! Clients are indistinguishable — the pool is a multiset of expiry times
-//! ordered by [`f64::total_cmp`] — so the calendar pool reproduces both
-//! frozen pools bit-identically: ties between equal expiries remove *a*
+//! ordered by [`f64::total_cmp`] — so the calendar pool reproduces the
+//! scan pool bit-identically: ties between equal expiries remove *a*
 //! client with that expiry either way, and the surviving multiset (all
 //! future behaviour depends only on it) is the same (differential
 //! battery: `tests/calendar_equivalence.rs`).
@@ -37,7 +35,7 @@ use crate::calendar::TimerCalendar;
 /// (seconds, absolute simulation time): O(1) amortized push/pop-min, O(1)
 /// peek, and one selection pass (not k max-scans) to retire the k latest
 /// clients. The pool is a multiset — clients are indistinguishable — so it
-/// reproduces the frozen heap and scan pools bit-identically.
+/// reproduces the scan pool bit-identically.
 #[derive(Debug, Clone, Default)]
 pub struct ThinkPool {
     queue: TimerCalendar,

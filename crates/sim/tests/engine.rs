@@ -46,6 +46,27 @@ impl LoadPattern for Flat {
     }
 }
 
+/// Load `frac` for intervals starting in `[from, until)`, idle otherwise.
+#[derive(Debug)]
+struct Window {
+    from: f64,
+    until: f64,
+    frac: f64,
+}
+
+impl LoadPattern for Window {
+    fn load_at(&self, t: f64) -> f64 {
+        if (self.from..self.until).contains(&t) {
+            self.frac
+        } else {
+            0.0
+        }
+    }
+    fn duration(&self) -> f64 {
+        60.0
+    }
+}
+
 #[derive(Debug)]
 struct ToyBatch;
 
@@ -275,6 +296,71 @@ fn zero_core_config_rejected() {
     let mut e = engine(0.5, 11);
     let lc = CoreConfig::new(0, 0, Frequency::from_mhz(600), Frequency::from_mhz(650));
     e.step(MachineConfig::interactive(&Platform::juno_r1(), lc));
+}
+
+/// A 20 ms-interval engine under the Juno costs, whose 30 ms migration
+/// stall outlives the interval it starts in.
+fn short_interval_engine(max_rps: f64, load: Window, seed: u64) -> Engine {
+    Engine::new(
+        Platform::juno_r1(),
+        Box::new(ToyLc { max_rps }),
+        Box::new(load),
+        seed,
+    )
+    .with_costs(ReconfigCosts::juno_defaults())
+    .with_interval(0.02)
+    .with_jitter(0.0)
+}
+
+#[test]
+fn stall_outliving_its_interval_survives_the_next_boundary() {
+    // Overloaded big cores keep work in flight into the remap at 0.02, whose
+    // 30 ms stall ends at 0.05. Re-applying the same config at 0.04 is a
+    // stall-free DVFS reconfigure; it must not start that work early.
+    let load = Window {
+        from: -1.0,
+        until: 0.03,
+        frac: 1.0,
+    };
+    let mut e = short_interval_engine(5000.0, load, 14);
+    e.step(cfg("2B-1.15"));
+    let remap = e.step(cfg("4S-0.65"));
+    assert_eq!(remap.completions, 0, "nothing runs inside the stall");
+    let next = e.step(cfg("4S-0.65"));
+    for &b in &next.lc_busy {
+        assert!(
+            b > 0.0 && b <= 0.5 + 1e-9,
+            "servers may only work from 0.05 on: {:?}",
+            next.lc_busy
+        );
+    }
+}
+
+#[test]
+fn work_queued_inside_a_stall_starts_when_it_outlives_its_interval() {
+    // Nothing is in flight at the remap; every request of the remap
+    // interval queues inside the stall, which ends after the interval. The
+    // stall's kick must carry over the boundary and start them at 0.05,
+    // not wait for the next reconfigure at 0.06.
+    let load = Window {
+        from: 0.01,
+        until: 0.03,
+        frac: 1.0,
+    };
+    let mut e = short_interval_engine(1000.0, load, 13);
+    e.step(cfg("2B-1.15"));
+    let remap = e.step(cfg("4S-0.65"));
+    assert!(remap.arrivals >= 4, "{}", remap.arrivals);
+    assert_eq!(remap.completions, 0);
+    let next = e.step(cfg("4S-0.65"));
+    assert!(next.completions > 0, "queued work must start at 0.05");
+    for &b in &next.lc_busy {
+        assert!(
+            b > 0.0 && b <= 0.5 + 1e-9,
+            "servers start when the stall ends: {:?}",
+            next.lc_busy
+        );
+    }
 }
 
 #[test]

@@ -1,8 +1,14 @@
-//! Differential property test: the heap-indexed [`ServiceNode`] must
-//! reproduce the frozen pre-PR3 linear-scan [`ReferenceNode`] event for
-//! event — identical completion streams, timeouts, and bit-identical
-//! interval statistics — under arbitrary arrival / advance / preempt /
-//! DVFS-reconfigure / interval-boundary sequences.
+//! Differential property test: the flat-array [`ServiceNode`] must
+//! reproduce the linear-scan oracle [`ReferenceNode`] event for event —
+//! identical completion streams, timeouts, and bit-identical interval
+//! statistics — under arbitrary arrival / advance / preempt / stall /
+//! DVFS-reconfigure / full-revocation / interval-boundary sequences.
+//!
+//! The server sets cover both dispatch orders the node must get right:
+//! a speed ladder with equal-speed ties, and heterogeneous big/small
+//! mixes of up to eight servers whose per-server slowdowns split
+//! speed-equal servers into different *effective* speeds. Rescales either
+//! keep each server's speed or land every server on one speed (all ties).
 
 use hipster_platform::{CoreKind, Frequency};
 use hipster_sim::reference::ReferenceNode;
@@ -16,25 +22,35 @@ enum Op {
     Arrive { dt: f64, work: f64, mem: f64 },
     /// Let `dt` pass, processing completions.
     Advance { dt: f64 },
-    /// Preempting reconfiguration to `n` servers with speeds drawn from
-    /// `speed_seed`, stalled by `stall`.
+    /// Preempting reconfiguration to `n` servers drawn from `seed`
+    /// ([`mixed_specs`] when `mixed`, else [`ladder_specs`]), stalled by
+    /// `stall`.
     Remap {
         n: usize,
-        speed_seed: u64,
+        seed: u64,
         stall: f64,
+        mixed: bool,
     },
-    /// DVFS-style rescale of the current servers (no count change).
-    Rescale { factor: f64, stall: f64 },
+    /// DVFS-style rescale of the current servers (no count change). With
+    /// `uniform`, every server lands on the same speed.
+    Rescale {
+        factor: f64,
+        stall: f64,
+        uniform: bool,
+    },
+    /// Revoke every server. Arrivals queue (and shed on timeout) until the
+    /// next `Remap` brings servers back.
+    RevokeAll,
     /// Close the monitoring interval and open the next one.
     Interval,
 }
 
-fn specs_for(n: usize, speed_seed: u64) -> Vec<ServerSpec> {
+/// A speed ladder: a few equal-speed servers to exercise dispatch ties,
+/// plus distinct speeds to exercise the ordering.
+fn ladder_specs(n: usize, seed: u64) -> Vec<ServerSpec> {
     (0..n)
         .map(|i| {
-            // A few equal-speed servers to exercise dispatch ties, plus
-            // distinct speeds to exercise the ordering.
-            let speed = match (speed_seed as usize + i) % 4 {
+            let speed = match (seed as usize + i) % 4 {
                 0 | 1 => 2.0,
                 2 => 1.0,
                 _ => 4.0,
@@ -53,6 +69,32 @@ fn specs_for(n: usize, speed_seed: u64) -> Vec<ServerSpec> {
         .collect()
 }
 
+/// A heterogeneous big/small mix: several distinct speeds with repeats
+/// (dispatch ties), and slowdowns that split speed-equal servers into
+/// different effective speeds.
+fn mixed_specs(n: usize, seed: u64) -> Vec<ServerSpec> {
+    (0..n)
+        .map(|i| {
+            let speed = match (seed as usize + i) % 5 {
+                0 | 1 => 2.0,
+                2 => 0.8,
+                3 => 4.0,
+                _ => 2.0,
+            };
+            ServerSpec {
+                kind: if speed >= 2.0 {
+                    CoreKind::Big
+                } else {
+                    CoreKind::Small
+                },
+                freq: Frequency::from_mhz(1000),
+                speed,
+                slowdown: 1.0 + ((seed as usize + i) % 3) as f64 * 0.5,
+            }
+        })
+        .collect()
+}
+
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         (0.0f64..0.4, 0.1f64..4.0, 0.0f64..0.5).prop_map(|(dt, work, mem)| Op::Arrive {
@@ -60,13 +102,33 @@ fn op_strategy() -> impl Strategy<Value = Op> {
             work,
             mem
         }),
-        (0.0f64..1.0).prop_map(|dt| Op::Advance { dt }),
-        (1usize..6, 0u64..8, 0.0f64..0.3).prop_map(|(n, speed_seed, stall)| Op::Remap {
-            n,
-            speed_seed,
-            stall
+        // Heavy, compute-bound requests keep every server busy.
+        (0.0f64..0.4, 1.0f64..4.0, 0.0f64..0.25).prop_map(|(dt, work, mem)| Op::Arrive {
+            dt,
+            work,
+            mem
         }),
-        (0.5f64..2.0, 0.0f64..0.1).prop_map(|(factor, stall)| Op::Rescale { factor, stall }),
+        (0.0f64..1.0).prop_map(|dt| Op::Advance { dt }),
+        (1usize..6, 0u64..8, 0.0f64..0.3).prop_map(|(n, seed, stall)| Op::Remap {
+            n,
+            seed,
+            stall,
+            mixed: false
+        }),
+        (1usize..9, 0u64..10, 0.0f64..0.3).prop_map(|(n, seed, stall)| Op::Remap {
+            n,
+            seed,
+            stall,
+            mixed: true
+        }),
+        (0.5f64..2.0, 0.0f64..0.1, any::<bool>()).prop_map(|(factor, stall, uniform)| {
+            Op::Rescale {
+                factor,
+                stall,
+                uniform,
+            }
+        }),
+        Just(Op::RevokeAll),
         Just(Op::Interval),
     ]
 }
@@ -78,7 +140,7 @@ fn run_differential(ops: &[Op], timeout: Option<f64>) {
     let mut old = ReferenceNode::new();
     new.set_timeout(timeout);
     old.set_timeout(timeout);
-    let initial = specs_for(2, 0);
+    let initial = ladder_specs(2, 0);
     let mut current_specs = initial.clone();
     new.reconfigure(0.0, &initial, true, 0.0);
     old.reconfigure(0.0, &initial, true, 0.0);
@@ -128,21 +190,46 @@ fn run_differential(ops: &[Op], timeout: Option<f64>) {
             }
             Op::Remap {
                 n,
-                speed_seed,
+                seed,
                 stall,
+                mixed,
             } => {
-                current_specs = specs_for(n, speed_seed);
+                current_specs = if mixed {
+                    mixed_specs(n, seed)
+                } else {
+                    ladder_specs(n, seed)
+                };
                 new.reconfigure(now, &current_specs, true, stall);
                 old.reconfigure(now, &current_specs, true, stall);
                 kick_at = if stall > 0.0 { Some(now + stall) } else { None };
             }
-            Op::Rescale { factor, stall } => {
+            Op::Rescale { .. } if current_specs.is_empty() => {
+                // Still revoked: the engine re-applies the revocation every
+                // interval.
+                new.revoke_all(now);
+                old.revoke_all(now);
+            }
+            Op::Rescale {
+                factor,
+                stall,
+                uniform,
+            } => {
                 for s in &mut current_specs {
-                    s.speed *= factor;
+                    if uniform {
+                        s.speed = 2.0 * factor;
+                        s.slowdown = 1.0;
+                    } else {
+                        s.speed *= factor;
+                    }
                 }
                 new.reconfigure(now, &current_specs, false, stall);
                 old.reconfigure(now, &current_specs, false, stall);
                 kick_at = if stall > 0.0 { Some(now + stall) } else { None };
+            }
+            Op::RevokeAll => {
+                new.revoke_all(now);
+                old.revoke_all(now);
+                current_specs.clear();
             }
             Op::Interval => {
                 now = now.max(interval_start + 1e-6);
@@ -155,6 +242,11 @@ fn run_differential(ops: &[Op], timeout: Option<f64>) {
                 old.begin_interval(now);
             }
         }
+        assert_eq!(
+            new.num_servers(),
+            old.num_servers(),
+            "server count diverged"
+        );
         assert_eq!(new.queue_len(), old.queue_len(), "queue length diverged");
         assert_eq!(new.in_flight(), old.in_flight(), "in-flight diverged");
         assert_eq!(
@@ -164,7 +256,12 @@ fn run_differential(ops: &[Op], timeout: Option<f64>) {
         );
         assert_eq!(new.total_completed(), old.total_completed());
     }
-    // Drain both and compare the final interval.
+    // A revoked node gets its servers back, then both drain and compare
+    // the final interval.
+    if current_specs.is_empty() {
+        new.reconfigure(now, &initial, true, 0.0);
+        old.reconfigure(now, &initial, true, 0.0);
+    }
     now += 1000.0;
     deliver_kick(&mut new, &mut old, &mut kick_at, now);
     new_done.clear();
@@ -178,19 +275,21 @@ fn run_differential(ops: &[Op], timeout: Option<f64>) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn heap_node_matches_reference_node(
+    fn service_node_matches_reference_node(
         ops in prop::collection::vec(op_strategy(), 1..250),
     ) {
         run_differential(&ops, None);
     }
 
     #[test]
-    fn heap_node_matches_reference_node_with_timeouts(
+    fn service_node_matches_reference_node_with_timeouts(
         ops in prop::collection::vec(op_strategy(), 1..250),
     ) {
+        // A short client deadline relative to the op time scale, so the
+        // dispatch-side shedding path runs constantly.
         run_differential(&ops, Some(0.75));
     }
 }
