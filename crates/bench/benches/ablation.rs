@@ -1,5 +1,5 @@
 //! Ablation micro-benchmarks: end-to-end manager throughput with the
-//! design knobs DESIGN.md §5 calls out (hybrid vs pure RL, stochastic
+//! design knobs `repro ablation` studies (hybrid vs pure RL, stochastic
 //! band, myopic γ) — measures the *cost* of each variant's decision loop;
 //! the *quality* comparison lives in `repro ablation`.
 

@@ -1,23 +1,19 @@
 //! Lookup-table benchmarks: the paper stresses O(1) access (§3.7, the
-//! Python-dictionary argument). Measures get / update / argmax over a
-//! realistically sized table (21 load buckets × 34 configurations), for
-//! the dense `(bucket, action_index)` table and the frozen map-backed
-//! reference it replaced.
+//! Python-dictionary argument). Measures get / update / argmax on the
+//! dense `(bucket, action_index)` table at a realistic size (21 load
+//! buckets × 34 configurations).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hipster_core::reference::ReferenceQTable;
 use hipster_core::{ConfigSpace, QTable};
 use hipster_platform::{power_ladder, Platform};
 
 fn benches(c: &mut Criterion) {
     let actions = power_ladder(&Platform::juno_r1());
     let mut table = QTable::for_space(ConfigSpace::new(actions.clone()));
-    let mut reference = ReferenceQTable::new();
-    // Populate every (bucket, config) cell in both.
+    // Populate every (bucket, config) cell.
     for w in 0..21u32 {
-        for (i, cfg) in actions.iter().enumerate() {
+        for i in 0..actions.len() {
             table.update_indexed(w, i, i as f64 * 0.1, (w + 1) % 21, 0.6, 0.9);
-            reference.update(w, *cfg, i as f64 * 0.1, (w + 1) % 21, &actions, 0.6, 0.9);
         }
     }
 
@@ -29,27 +25,11 @@ fn benches(c: &mut Criterion) {
         })
     });
 
-    c.bench_function("qtable/get_reference", |b| {
-        let mut w = 0u32;
-        b.iter(|| {
-            w = (w + 1) % 21;
-            criterion::black_box(reference.get(w, &actions[(w as usize) % actions.len()]))
-        })
-    });
-
     c.bench_function("qtable/best_action", |b| {
         let mut w = 0u32;
         b.iter(|| {
             w = (w + 1) % 21;
             criterion::black_box(table.best_index(w))
-        })
-    });
-
-    c.bench_function("qtable/best_action_reference", |b| {
-        let mut w = 0u32;
-        b.iter(|| {
-            w = (w + 1) % 21;
-            criterion::black_box(reference.best_action(w, &actions))
         })
     });
 
@@ -59,15 +39,6 @@ fn benches(c: &mut Criterion) {
         b.iter(|| {
             w = (w + 1) % 21;
             t.update_indexed(w, 3, 2.5, (w + 1) % 21, 0.6, 0.9);
-        })
-    });
-
-    c.bench_function("qtable/update_reference", |b| {
-        let mut t = reference.clone();
-        let mut w = 0u32;
-        b.iter(|| {
-            w = (w + 1) % 21;
-            t.update(w, actions[3], 2.5, (w + 1) % 21, &actions, 0.6, 0.9);
         })
     });
 }

@@ -10,10 +10,9 @@
 //!                      # → BENCH_PR10.json + waves_summary.csv
 //! repro cluster --store d      # journal each cell to d/ as it finishes
 //! repro cluster --store d --resume   # skip cells d/ already holds
-//! repro bench          # perf baselines → BENCH_PR{3,4,5,6,7}.json
-//! repro bench --smoke  # same cells, seconds (CI)
-//! repro bench --smoke --only open/   # just the cells matching a prefix
 //! ```
+
+use std::path::PathBuf;
 
 use hipster_bench::experiments as exp;
 
@@ -33,15 +32,21 @@ const EXPERIMENTS: &[(&str, fn(bool))] = &[
     ("ablation", exp::ablation::run),
 ];
 
+/// Sweeps that extrapolate beyond the paper's single machine, so `all`
+/// (the paper's tables and figures) excludes them. They are the only
+/// experiments that journal their cells, so the only ones
+/// `--store`/`--resume` apply to.
+const SWEEPS: &[&str] = &["cluster", "faults"];
+
 fn usage() -> ! {
     eprintln!(
         "usage: repro [--quick] <experiment>...\n       repro [--quick] all\n       \
          repro [--quick] cluster [--store <dir>] [--resume]\n       \
-         repro [--quick] faults [--store <dir>] [--resume]\n       \
-         repro bench [--smoke] [--only <cell-prefix>]\n\n\
+         repro [--quick] faults [--store <dir>] [--resume]\n\n\
+         --quick, -q    4x shorter runs\n\
          --store <dir>  journal every finished sweep cell to <dir> (fsync'd)\n\
          --resume       skip cells already in the store (requires --store)\n\n\
-         experiments: {} cluster faults bench",
+         experiments: {} cluster faults",
         EXPERIMENTS
             .iter()
             .map(|(n, _)| *n)
@@ -51,92 +56,67 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// Reports a command-line error, then exits 2 with usage.
+fn reject(message: &str) -> ! {
+    eprintln!("repro: {message}");
+    usage();
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick" || a == "-q");
-    let smoke = args.iter().any(|a| a == "--smoke");
-    // `--only <prefix>` restricts `bench` to cells whose name starts with
-    // the prefix (the prefix itself must not be treated as an experiment).
-    let only_flag_idx = args.iter().position(|a| a == "--only");
-    let only: Option<&str> = only_flag_idx.map(|i| match args.get(i + 1) {
-        Some(p) if !p.starts_with('-') => p.as_str(),
-        _ => {
-            eprintln!("--only requires a cell-name prefix");
-            usage();
+    let mut quick = false;
+    let mut store: Option<PathBuf> = None;
+    let mut resume = false;
+    let mut selected: Vec<String> = Vec::new();
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--quick" | "-q" => quick = true,
+            "--resume" => resume = true,
+            "--store" => match args.next() {
+                Some(dir) if !dir.starts_with('-') => store = Some(PathBuf::from(dir)),
+                _ => reject("--store requires a directory path"),
+            },
+            flag if flag.starts_with('-') => reject(&format!("unknown flag: {flag}")),
+            _ => selected.push(arg),
         }
-    });
-    let only_value_idx = only_flag_idx.map(|i| i + 1);
-    // `--store <dir>` journals sweep cells durably; `--resume` restores
-    // the cells a previous (possibly killed) run already finished.
-    let store_flag_idx = args.iter().position(|a| a == "--store");
-    let store: Option<&std::path::Path> = store_flag_idx.map(|i| match args.get(i + 1) {
-        Some(p) if !p.starts_with('-') => std::path::Path::new(p.as_str()),
-        _ => {
-            eprintln!("--store requires a directory path");
-            usage();
-        }
-    });
-    let resume = args.iter().any(|a| a == "--resume");
-    if resume && store.is_none() {
-        eprintln!("--resume requires --store <dir>");
-        usage();
     }
-    let store_value_idx = store_flag_idx.map(|i| i + 1);
-    let selected: Vec<&str> = args
-        .iter()
-        .enumerate()
-        .filter(|(i, a)| {
-            !a.starts_with('-') && Some(*i) != only_value_idx && Some(*i) != store_value_idx
-        })
-        .map(|(_, a)| a.as_str())
-        .collect();
     if selected.is_empty() {
         usage();
     }
-    // `bench` and `cluster` are not paper experiments: `bench` benchmarks
-    // the event core itself and `cluster` extrapolates beyond the paper's
-    // single machine. Both are deliberately excluded from `all`, which
-    // reproduces the paper's tables/figures.
-    let run_all = selected.contains(&"all");
-    let mut matched = false;
-    if selected.contains(&"bench") {
-        matched = true;
-        let start = std::time::Instant::now();
-        hipster_bench::perfbench::run(smoke, only);
-        println!("[bench done in {:.1}s]\n", start.elapsed().as_secs_f64());
+    for want in &selected {
+        if want != "all"
+            && !SWEEPS.contains(&want.as_str())
+            && !EXPERIMENTS.iter().any(|(n, _)| n == want)
+        {
+            reject(&format!("unknown experiment: {want}"));
+        }
     }
-    if selected.contains(&"cluster") {
-        matched = true;
+    // `--store <dir>` journals sweep cells durably; `--resume` restores
+    // the cells a previous (possibly killed) run already finished.
+    let journaled = selected.iter().any(|s| SWEEPS.contains(&s.as_str()));
+    if (store.is_some() || resume) && !journaled {
+        reject("--store and --resume apply only to `cluster` and `faults`");
+    }
+    if resume && store.is_none() {
+        reject("--resume requires --store <dir>");
+    }
+    let store = store.as_deref();
+    let wants = |name: &str| selected.iter().any(|s| s == name);
+    if wants("cluster") {
         let start = std::time::Instant::now();
         exp::cluster::run(quick, store, resume);
         println!("[cluster done in {:.1}s]\n", start.elapsed().as_secs_f64());
     }
-    if selected.contains(&"faults") {
-        matched = true;
+    if wants("faults") {
         let start = std::time::Instant::now();
         exp::faults::run(quick, store, resume);
         println!("[faults done in {:.1}s]\n", start.elapsed().as_secs_f64());
     }
     for (name, runner) in EXPERIMENTS {
-        if run_all || selected.contains(name) {
-            matched = true;
+        if wants("all") || wants(name) {
             let start = std::time::Instant::now();
             runner(quick);
             println!("[{name} done in {:.1}s]\n", start.elapsed().as_secs_f64());
         }
-    }
-    for want in &selected {
-        if *want != "all"
-            && *want != "bench"
-            && *want != "cluster"
-            && *want != "faults"
-            && !EXPERIMENTS.iter().any(|(n, _)| n == want)
-        {
-            eprintln!("unknown experiment: {want}");
-            matched = false;
-        }
-    }
-    if !matched {
-        usage();
     }
 }

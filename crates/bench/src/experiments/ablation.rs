@@ -1,4 +1,4 @@
-//! Ablation studies for the design choices DESIGN.md §5 calls out:
+//! Ablation studies for the reproduction's key design choices:
 //!
 //! * **hybrid vs pure RL** — §3.1 argues a pure ε-greedy learner violates
 //!   QoS while exploring;

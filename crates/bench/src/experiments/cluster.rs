@@ -1,4 +1,4 @@
-//! Cluster tier, 16–1024 nodes: Hipster per node behind an O(1)
+//! Cluster tier, 16–1024 nodes: Hipster per node behind a
 //! power-of-two-choices balancer, with burst overflow to priced cloud
 //! nodes — the beyond-paper experiment the ROADMAP's "millions of
 //! users" north star asks for.
@@ -13,7 +13,7 @@
 //! single-machine Table 2 energy/QoS trade-off to fleet scale. The grid
 //! itself runs through the work-stealing task scheduler
 //! ([`run_tasks`]), whose wall-clock/throughput stats are printed per
-//! sweep (and recorded in `BENCH_PR7.json`'s cluster-sweep cells).
+//! sweep.
 
 use std::path::Path;
 use std::sync::Mutex;
@@ -291,8 +291,7 @@ pub fn run(quick: bool, store_dir: Option<&Path>, resume: bool) {
         "\nReading: per-node watts for Static-Big sit near the paper's Table 2 \
          big-cluster characterization; Hipster trades some of that power for \
          QoS-aware small-core intervals, and the overflow tier converts bursts \
-         the private tier cannot absorb into dollars instead of violations. \
-         Dispatch cost is O(1) in node count (see BENCH_PR7.json)."
+         the private tier cannot absorb into dollars instead of violations."
     );
 
     if let Some(dir) = store_dir {

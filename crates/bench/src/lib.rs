@@ -1,9 +1,9 @@
 //! Experiment harness for the Hipster (HPCA 2017) reproduction.
 //!
 //! One module per table/figure of the paper's evaluation, each printing the
-//! same rows/series the paper reports (see `DESIGN.md` §4 for the index and
-//! `EXPERIMENTS.md` for paper-vs-measured results). Run them through the
-//! `repro` binary:
+//! same rows/series the paper reports beside the measured ones (the
+//! README's "Reproducing the paper" table is the index). Run them through
+//! the `repro` binary:
 //!
 //! ```text
 //! cargo run --release -p hipster-bench --bin repro -- all
@@ -13,7 +13,6 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod perfbench;
 pub mod runner;
 pub mod tablefmt;
 

@@ -5,8 +5,8 @@
 //! simulated one machine. This module scales out: a [`ClusterSim`] owns N
 //! [`Manager`]-wrapped engines (each with its own policy instance and a
 //! split-seeded RNG), a cluster-level [`Dispatcher`] that places work
-//! quanta on nodes — O(1) in cluster size via the node-occupancy bitmap —
-//! and an optional cloud tier that absorbs bursts past an occupancy
+//! quanta on nodes from a flat per-node occupancy array, and an optional
+//! cloud tier that absorbs bursts past an occupancy
 //! watermark at a per-request-second dollar price.
 //!
 //! # Model
@@ -24,9 +24,9 @@
 //! the per-node tails, and admission spills quanta to the cloud tier
 //! whenever private occupancy sits at or above the watermark.
 //!
-//! Every dispatch decision folds into an FNV-1a digest, so two runs (or
-//! two dispatcher implementations) can be compared event for event — the
-//! hook the differential and determinism suites use.
+//! Every dispatch decision folds into an FNV-1a digest, so two runs can
+//! be compared event for event — the hook the determinism suites use and
+//! the per-policy pins in this module's tests hold fixed.
 //!
 //! # Example
 //!
@@ -76,9 +76,7 @@ use crate::manager::Manager;
 use crate::scenario::{BatchDeadline, PolicyFactory};
 
 pub use admission::AdmissionSpec;
-pub use dispatch::{
-    build_dispatcher, BitmapDispatcher, DispatchPolicy, Dispatcher, ScanDispatcher,
-};
+pub use dispatch::{DispatchPolicy, Dispatcher};
 pub use metrics::{cluster_tails, ClusterInterval, ClusterSummary, ClusterTrace};
 pub use overflow::{CloudBill, OverflowSpec};
 pub use retry::RetrySpec;
@@ -224,7 +222,6 @@ pub struct ClusterSpec {
     load: Option<Box<dyn LoadPattern>>,
     policy: Option<Box<dyn PolicyFactory>>,
     dispatch: DispatchPolicy,
-    reference_dispatch: bool,
     private_nodes: usize,
     cloud_nodes: usize,
     overflow: Option<OverflowSpec>,
@@ -277,7 +274,6 @@ impl ClusterSpec {
             load: None,
             policy: None,
             dispatch: DispatchPolicy::PowerOfTwo,
-            reference_dispatch: false,
             private_nodes: 0,
             cloud_nodes: 0,
             overflow: None,
@@ -323,13 +319,6 @@ impl ClusterSpec {
     /// Selects the load-balancing policy (default: power-of-two-choices).
     pub fn dispatch(mut self, policy: DispatchPolicy) -> Self {
         self.dispatch = policy;
-        self
-    }
-
-    /// Routes dispatch through the frozen linear-scan yardstick instead
-    /// of the bitmap — differential tests only.
-    pub fn reference_dispatch(mut self) -> Self {
-        self.reference_dispatch = true;
         self
     }
 
@@ -565,12 +554,7 @@ impl ClusterSpec {
             });
         }
 
-        let mut private_dispatch = build_dispatcher(
-            self.dispatch,
-            self.private_nodes,
-            cap,
-            self.reference_dispatch,
-        );
+        let mut private_dispatch = Dispatcher::new(self.dispatch, self.private_nodes, cap);
         if self.mitigation {
             if let Some(topo) = &self.topology {
                 let zone_of = (0..self.private_nodes)
@@ -582,14 +566,8 @@ impl ClusterSpec {
                 private_dispatch.set_topology(zone_of, rack_of);
             }
         }
-        let cloud_dispatch = (self.cloud_nodes > 0).then(|| {
-            build_dispatcher(
-                self.dispatch,
-                self.cloud_nodes,
-                cap,
-                self.reference_dispatch,
-            )
-        });
+        let cloud_dispatch =
+            (self.cloud_nodes > 0).then(|| Dispatcher::new(self.dispatch, self.cloud_nodes, cap));
 
         // Node-level fault timelines ride their own split stream so the
         // dispatcher RNG is untouched whether or not faults are on.
@@ -709,8 +687,8 @@ pub struct ClusterSim {
     name: String,
     nodes: Vec<NodeSlot>,
     n_private: usize,
-    private_dispatch: Box<dyn Dispatcher>,
-    cloud_dispatch: Option<Box<dyn Dispatcher>>,
+    private_dispatch: Dispatcher,
+    cloud_dispatch: Option<Dispatcher>,
     overflow: Option<OverflowSpec>,
     load: Box<dyn LoadPattern>,
     qos: QosTarget,
@@ -1150,8 +1128,8 @@ pub struct ClusterOutcome {
     pub summary: ClusterSummary,
     /// Interval-by-interval record.
     pub trace: ClusterTrace,
-    /// FNV-1a digest over every dispatch decision — the determinism and
-    /// differential hooks compare these.
+    /// FNV-1a digest over every dispatch decision — the determinism
+    /// hooks compare these.
     pub decision_digest: u64,
     /// Total quanta dispatched.
     pub decisions: u64,
@@ -1364,23 +1342,69 @@ mod tests {
         assert!(out.summary.dropped_quanta > 0, "{:?}", out.summary);
     }
 
+    /// Every policy's decision stream, pinned on a plain cluster and on a
+    /// mitigated one: zone revocations mask nodes and strand work into
+    /// retries, rack straggler waves degrade racks that stay unmasked (so
+    /// least-loaded retry steering and P2C re-probes pick differently
+    /// from the plain path), and cloud overflow spills. The constants
+    /// were recorded from the occupancy-bitmap dispatcher this
+    /// flat-array one replaced, so any divergence from its decisions
+    /// fails here.
     #[test]
-    fn reference_dispatch_produces_identical_decisions() {
-        for policy in DispatchPolicy::ALL {
-            let fast = spec(8).dispatch(policy).build().unwrap().run();
-            let slow = spec(8)
+    fn dispatch_decisions_are_pinned_per_policy() {
+        let mitigated = |policy| {
+            spec(8)
                 .dispatch(policy)
-                .reference_dispatch()
-                .build()
-                .unwrap()
-                .run();
+                .intervals(40)
+                .topology(TopologySpec::new(2, 2, 2).unwrap())
+                .domain_faults(
+                    DomainFaultSpec::none()
+                        .with_zone_revocations(2.0, 0.3)
+                        .with_rack_stragglers(2.0, 0.3),
+                )
+                .retry(RetrySpec::default())
+                .cloud_nodes(2)
+                .overflow(OverflowSpec::new(0.85, 1e-4))
+        };
+        let pins = [
+            (
+                DispatchPolicy::Random,
+                (0x0d8f_1ed5_bee6_3fa0, 57),
+                (0xd9ce_a04f_05c9_f597, 795),
+            ),
+            (
+                DispatchPolicy::RoundRobin,
+                (0x6462_1d43_0900_cdc5, 57),
+                (0xb280_3076_a504_e842, 789),
+            ),
+            (
+                DispatchPolicy::LeastLoaded,
+                (0x65b3_78d3_5e32_a287, 57),
+                (0xc31c_722f_417d_6966, 786),
+            ),
+            (
+                DispatchPolicy::PowerOfTwo,
+                (0x5258_7d5b_cec7_1227, 57),
+                (0xb4ed_52bf_6526_77c1, 786),
+            ),
+        ];
+        for (policy, plain_pin, mitigated_pin) in pins {
+            let plain = spec(8).dispatch(policy).build().unwrap().run();
             assert_eq!(
-                fast.decision_digest,
-                slow.decision_digest,
-                "{}",
+                (plain.decision_digest, plain.decisions),
+                plain_pin,
+                "plain {}",
                 policy.name()
             );
-            assert_eq!(fast.summary, slow.summary);
+            let out = mitigated(policy).build().unwrap().run();
+            assert_eq!(
+                (out.decision_digest, out.decisions),
+                mitigated_pin,
+                "mitigated {}",
+                policy.name()
+            );
+            let s = &out.summary;
+            assert!(s.retried_quanta > 0 && s.straggling_node_intervals > 0 && s.spill_frac > 0.0);
         }
     }
 

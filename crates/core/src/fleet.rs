@@ -4,19 +4,14 @@
 //!
 //! Scheduling is **work-stealing**: every worker claims the next
 //! unstarted scenario from a shared atomic cursor the moment it goes
-//! idle (PR 4 replaced the previous mutex-guarded `VecDeque` job queue —
-//! one lock round-trip per claim — with the lock-free cursor), so
-//! heterogeneous fleets (a fig. 2/3-style heatmap mixes cheap low-load
-//! cells with expensive near-saturation ones) keep all cores busy to the
-//! end instead of leaving them idle behind the slowest statically
-//! assigned shard. Results stream back to the caller *as scenarios
-//! complete*: [`Fleet::run_each`] folds outcomes in declaration order
-//! through a callback (holding only out-of-order stragglers in a reorder
-//! buffer), and [`Fleet::run`] is the collect-everything convenience on
-//! top — the pre-PR4 `run` buffered every `Trace` unconditionally. A
-//! static-partition baseline scheduler lives in
-//! [`reference::run_static_chunked`](crate::reference::run_static_chunked)
-//! for differential tests and scheduling-quality benchmarks.
+//! idle, so heterogeneous fleets (a fig. 2/3-style heatmap mixes cheap
+//! low-load cells with expensive near-saturation ones) keep all cores
+//! busy to the end instead of leaving them idle behind the slowest
+//! statically assigned shard. Results stream back to the caller *as
+//! scenarios complete*: [`Fleet::run_each`] folds outcomes in declaration
+//! order through a callback (holding only out-of-order stragglers in a
+//! reorder buffer), and [`Fleet::run`] is the collect-everything
+//! convenience on top.
 //!
 //! Determinism is the contract: every scenario owns its own engine and
 //! seed, so a fleet run is byte-identical to running the same specs one by
@@ -344,10 +339,10 @@ impl Fleet {
     }
 
     /// Validates every scenario and assigns split seeds, returning the
-    /// ready-to-run specs and the resolved worker count. All validation
-    /// happens before any simulation starts: an invalid scenario anywhere
-    /// in the fleet means nothing runs.
-    pub(crate) fn prepare(mut self) -> Result<(Vec<ScenarioSpec>, usize), FleetError> {
+    /// ready-to-run specs. All validation happens before any simulation
+    /// starts: an invalid scenario anywhere in the fleet means nothing
+    /// runs.
+    fn prepare(mut self) -> Result<Vec<ScenarioSpec>, FleetError> {
         if self.scenarios.is_empty() {
             return Err(FleetError::Empty);
         }
@@ -362,8 +357,7 @@ impl Fleet {
         for (index, spec) in self.scenarios.iter_mut().enumerate() {
             spec.assign_seed_if_unset(split_seed(self.base_seed, index as u64));
         }
-        let workers = resolve_workers(self.threads, self.scenarios.len());
-        Ok((self.scenarios, workers))
+        Ok(self.scenarios)
     }
 
     /// Executes the fleet across worker threads and collects every outcome
@@ -458,7 +452,7 @@ impl Fleet {
         let panic_policy = self.panic_policy;
         let retry_quarantined = self.retry_quarantined;
         let threads = self.threads;
-        let (specs, _) = self.prepare()?;
+        let specs = self.prepare()?;
         let n = specs.len();
 
         // Reconcile the store with this fleet: every recorded cell must
@@ -771,7 +765,7 @@ fn check_cell_identity(
 
 /// Runs one spec with panic capture, flattening panics and validation
 /// errors into a message.
-pub(crate) fn run_caught(spec: ScenarioSpec) -> Result<ScenarioOutcome, String> {
+fn run_caught(spec: ScenarioSpec) -> Result<ScenarioOutcome, String> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| spec.run()))
         .map_err(|payload| panic_message(payload.as_ref()))
         .and_then(|r| r.map_err(|e| e.to_string()))

@@ -34,8 +34,8 @@
 //!
 //! Beyond one machine, the [`cluster`] module scales out: a
 //! [`ClusterSpec`] declares N nodes (each with its own engine, policy and
-//! split seed) behind an O(1) load-balancing [`cluster::Dispatcher`],
-//! with optional burst overflow to priced cloud nodes.
+//! split seed) behind a load-balancing [`cluster::Dispatcher`], with
+//! optional burst overflow to priced cloud nodes.
 //!
 //! # Example: HipsterIn on Memcached under a diurnal load
 //!

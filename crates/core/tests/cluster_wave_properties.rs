@@ -1,9 +1,9 @@
 //! PR 10 property battery: correlated-wave edge cases.
 //!
-//! * **All nodes masked**: both dispatcher implementations survive a
-//!   total mask without panicking or dividing by zero, mask/unmask
-//!   cycles consume zero RNG draws (so an unmask resumes the exact
-//!   pre-mask decision stream), and at the cluster level an interval
+//! * **All nodes masked**: the dispatcher survives a total mask without
+//!   panicking or dividing by zero, mask/unmask cycles consume zero RNG
+//!   draws (so an unmask resumes the exact pre-mask decision stream),
+//!   and at the cluster level an interval
 //!   whose whole private tier is revoked routes 100% of its offered
 //!   quanta to the cloud tier.
 //! * **Disarmed subsystems**: declaring a failure-domain topology with
@@ -15,8 +15,7 @@
 use proptest::prelude::*;
 
 use hipster_core::cluster::{
-    AdmissionSpec, BitmapDispatcher, ClusterOutcome, ClusterSpec, DispatchPolicy, Dispatcher,
-    OverflowSpec, RetrySpec, ScanDispatcher,
+    AdmissionSpec, ClusterOutcome, ClusterSpec, DispatchPolicy, Dispatcher, OverflowSpec, RetrySpec,
 };
 use hipster_core::{Policy, StaticPolicy};
 use hipster_platform::Platform;
@@ -34,8 +33,8 @@ fn half_topology(n: usize) -> (Vec<u16>, Vec<u16>) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Masking every node must not panic or divide by zero in either
-    /// implementation; the raw policy candidate comes back unchanged
+    /// Masking every node must not panic or divide by zero; the raw
+    /// policy candidate comes back unchanged
     /// (the cluster layer strands work instead), so the fully-masked
     /// dispatcher stays pick-for-pick and RNG-for-RNG identical to a
     /// never-masked mirror — which is exactly what "unmask restores the
@@ -53,19 +52,17 @@ proptest! {
         let nodes = nodes & !1; // even, for half_topology
         let nodes = nodes.max(2);
         for policy in DispatchPolicy::ALL {
-            let mut masked = BitmapDispatcher::new(policy, nodes, cap);
-            let mut scan = ScanDispatcher::new(policy, nodes, cap);
-            let mut mirror = BitmapDispatcher::new(policy, nodes, cap);
+            let mut masked = Dispatcher::new(policy, nodes, cap);
+            let mut mirror = Dispatcher::new(policy, nodes, cap);
             if with_topology {
                 let (zones, racks) = half_topology(nodes);
                 masked.set_topology(zones.clone(), racks.clone());
-                scan.set_topology(zones.clone(), racks.clone());
                 mirror.set_topology(zones, racks);
                 if degrade_all {
-                    // Every domain degraded on every dispatcher: domain
+                    // Every domain degraded on both dispatchers: domain
                     // steering must degenerate to the plain path, not
                     // spin or divide by the number of healthy domains.
-                    for d in [&mut masked, &mut scan as &mut dyn Dispatcher, &mut mirror] {
+                    for d in [&mut masked, &mut mirror] {
                         d.set_domain_degraded(false, 0, true);
                         d.set_domain_degraded(false, 1, true);
                         d.set_domain_degraded(true, 0, true);
@@ -75,46 +72,30 @@ proptest! {
             }
             for node in 0..nodes {
                 masked.set_masked(node, true);
-                scan.set_masked(node, true);
             }
             let mut rng_m = SimRng::seed(seed);
-            let mut rng_s = SimRng::seed(seed);
             let mut rng_mirror = SimRng::seed(seed);
             for k in 0..picks_masked {
                 // Alternate plain and retry placement under total mask.
-                let (m, s, r) = if k % 3 == 2 {
-                    (
-                        masked.pick_retry(&mut rng_m),
-                        scan.pick_retry(&mut rng_s),
-                        mirror.pick_retry(&mut rng_mirror),
-                    )
+                let (m, r) = if k % 3 == 2 {
+                    (masked.pick_retry(&mut rng_m), mirror.pick_retry(&mut rng_mirror))
                 } else {
-                    (
-                        masked.pick(&mut rng_m),
-                        scan.pick(&mut rng_s),
-                        mirror.pick(&mut rng_mirror),
-                    )
+                    (masked.pick(&mut rng_m), mirror.pick(&mut rng_mirror))
                 };
-                prop_assert!(m < nodes && s < nodes && r < nodes);
+                prop_assert!(m < nodes && r < nodes);
                 prop_assert_eq!(m, r, "{}: total mask changed the raw candidate", policy.name());
-                prop_assert_eq!(s, r, "{}: scan impl drifted under total mask", policy.name());
             }
             for node in 0..nodes {
                 masked.set_masked(node, false);
-                scan.set_masked(node, false);
             }
             // The mask cycle consumed zero RNG draws and left identical
             // occupancy, so the post-unmask decision streams coincide.
             for _ in 0..picks_after {
                 let m = masked.pick(&mut rng_m);
-                let s = scan.pick(&mut rng_s);
                 let r = mirror.pick(&mut rng_mirror);
                 prop_assert_eq!(m, r, "{}: unmask did not restore the stream", policy.name());
-                prop_assert_eq!(s, r, "{}: scan drifted after unmask", policy.name());
             }
-            let expect = rng_mirror.next_u64();
-            prop_assert_eq!(rng_m.next_u64(), expect);
-            prop_assert_eq!(rng_s.next_u64(), expect);
+            prop_assert_eq!(rng_m.next_u64(), rng_mirror.next_u64());
         }
     }
 }
@@ -146,9 +127,8 @@ proptest! {
     /// be dispatched onto a dead node: each either spills to the cloud
     /// tier (past the overflow watermark) or strands into the retry
     /// queue and resurfaces as a retried quantum one backoff interval
-    /// later. Both dispatcher implementations must survive the total
-    /// outage byte-for-byte — never a panic, never a division by an
-    /// empty tier.
+    /// later. The total outage must never panic or divide by an empty
+    /// tier.
     #[test]
     fn fully_revoked_private_tier_degrades_to_the_cloud_or_retry_queue(
         nodes in 4usize..10,
@@ -157,18 +137,10 @@ proptest! {
         // One flat zone holding the whole private tier: any zone
         // revocation is a total outage.
         let private = nodes - 1;
-        let spec = |reference: bool| {
-            let s = base_spec("wave-prop/total-outage", nodes, 12, seed)
-                .topology(TopologySpec::flat(private).expect("flat topology"))
-                .domain_faults(DomainFaultSpec::none().with_zone_revocations(40.0, 0.5));
-            if reference { s.reference_dispatch() } else { s }
-        };
-        let bitmap = run(spec(false));
-        let scan = run(spec(true));
-        prop_assert_eq!(bitmap.decision_digest, scan.decision_digest);
-        prop_assert_eq!(bitmap.decisions, scan.decisions);
-        prop_assert_eq!(bitmap.trace.to_csv(), scan.trace.to_csv());
-        let ivs = bitmap.trace.intervals();
+        let out = run(base_spec("wave-prop/total-outage", nodes, 12, seed)
+            .topology(TopologySpec::flat(private).expect("flat topology"))
+            .domain_faults(DomainFaultSpec::none().with_zone_revocations(40.0, 0.5)));
+        let ivs = out.trace.intervals();
         for (i, iv) in ivs.iter().enumerate() {
             if iv.revoked_nodes == private && iv.quanta > 0 && iv.spilled_quanta == 0 {
                 // Everything stranded: the default one-interval backoff

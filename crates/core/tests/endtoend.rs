@@ -46,8 +46,8 @@ fn static_big_meets_qos_but_wastes_energy() {
     assert!(g_small < 90.0, "static small guarantee {g_small}");
     // And all-small is cheaper. (Paper: 31% less energy; our constant
     // 0.76 W rest-of-system term — calibrated from Table 2 — compresses
-    // relative energy deltas, so we assert direction and a ≥5% gap. See
-    // EXPERIMENTS.md for the paper-vs-model discussion.)
+    // relative energy deltas, so we assert direction and a ≥5% gap;
+    // `repro table3` prints the paper and model numbers side by side.)
     assert!(small.total_energy_j() < 0.95 * big.total_energy_j());
 }
 

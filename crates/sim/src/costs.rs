@@ -33,8 +33,8 @@ impl ReconfigCosts {
         }
     }
 
-    /// Zero-cost reconfiguration — the ablation of §5 of DESIGN.md (shows
-    /// why oscillation matters).
+    /// Zero-cost reconfiguration — the free-reconfiguration ablation
+    /// (shows why oscillation matters).
     pub fn free() -> Self {
         ReconfigCosts {
             core_migration_stall_s: 0.0,

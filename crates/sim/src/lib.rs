@@ -68,7 +68,6 @@ mod engine;
 mod fault;
 mod jsonl;
 mod latency;
-mod nodemap;
 mod request;
 mod rng;
 mod service;
@@ -85,7 +84,6 @@ pub use fault::{
 };
 pub use jsonl::{interval_from_jsonl, interval_to_jsonl};
 pub use latency::{percentile, LatencyRecorder, P2Quantile};
-pub use nodemap::NodeOccupancyMap;
 pub use request::{Demand, QosTarget, Request, RequestId};
 pub use rng::{Sampler, SimRng};
 pub use service::{NodeInterval, ServerSpec, ServiceNode};

@@ -1,19 +1,15 @@
 //! Linear-scan oracles for the event machinery, kept for differential
-//! testing and as the `repro bench` baseline.
+//! testing.
 //!
 //! [`ReferenceNode`] is the simplest service node — per-event linear scans
 //! over every server, a float-equality completion lookup and full-sort
 //! percentiles — and [`ReferenceThinkPool`] a plain `Vec` thinking pool
-//! with O(n) scans. They are the one oracle per layer:
-//!
-//! 1. **Differential testing** — property tests drive
-//!    [`ServiceNode`](crate::ServiceNode) against [`ReferenceNode`] with
-//!    identical event sequences and assert bit-identical completions,
-//!    timeouts and interval statistics (`tests/node_equivalence.rs`), and
-//!    the calendar-backed [`ThinkPool`](crate::ThinkPool) against
-//!    [`ReferenceThinkPool`] op for op (`tests/calendar_equivalence.rs`).
-//! 2. **Benchmark baseline** — `repro bench` races both through the same
-//!    driver, so `BENCH_PR3.json` records true speedups over the scans.
+//! with O(n) scans. They are the one oracle per layer: property tests
+//! drive [`ServiceNode`](crate::ServiceNode) against [`ReferenceNode`]
+//! with identical event sequences and assert bit-identical completions,
+//! timeouts and interval statistics (`tests/node_equivalence.rs`), and
+//! the calendar-backed [`ThinkPool`](crate::ThinkPool) against
+//! [`ReferenceThinkPool`] op for op (`tests/calendar_equivalence.rs`).
 //!
 //! Nothing here should be used by production code paths; the oracles
 //! intentionally keep the costs of the scans.
@@ -68,7 +64,7 @@ impl Server {
 /// all servers, float-equality completion re-scan, per-interval allocations.
 ///
 /// API mirrors [`ServiceNode`](crate::ServiceNode) exactly; see that type
-/// for semantics. Kept only for differential tests and `repro bench`.
+/// for semantics. Kept only for differential tests.
 #[derive(Debug, Clone)]
 pub struct ReferenceNode {
     queue: VecDeque<Request>,

@@ -6,12 +6,14 @@
 //! instant), far-future expiries that alias around the bucket ring for
 //! thousands of rotations, bursty MMPP-shaped clumps separated by calm
 //! gaps (CloudCoaster's regime), `total_cmp` extremes (infinities,
-//! negative zero, huge and tiny magnitudes), and `retire_latest`
+//! negative zero, huge and tiny magnitudes), `retire_latest`
 //! population swings that cross the ring's grow/shrink thresholds in both
-//! directions.
+//! directions, and a closed-loop population of at least 4096 clients
+//! cycling through exponential think times.
 
+use hipster_sim::dist::Exponential;
 use hipster_sim::reference::ReferenceThinkPool;
-use hipster_sim::ThinkPool;
+use hipster_sim::{Sampler, SimRng, ThinkPool};
 use proptest::prelude::*;
 
 /// One step of the driving sequence. Times are generated relative to a
@@ -38,6 +40,13 @@ enum Op {
     /// Retire the `k` latest thinkers (interval-boundary population
     /// shrink).
     RetireLatest { k: usize },
+    /// A closed-loop client population: `count` think timers drawn
+    /// exponential with mean `think` seconds after `now`.
+    Population { count: usize, think: f64, seed: u64 },
+    /// Closed-loop steady state: pop the `k` earliest expiries and re-arm
+    /// each client an exponential think time (mean `think`) after it, so
+    /// the population keeps its size.
+    Cycle { k: usize, think: f64, seed: u64 },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -55,6 +64,23 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0.0f64..8.0).prop_map(|dt| Op::PopDue { dt }),
         (0usize..48).prop_map(|k| Op::RetireLatest { k }),
     ]
+}
+
+/// The at-scale arm: a population of at least 4096 think timers, then
+/// the closed-loop cycle mixed with the ordinary ops.
+fn at_scale_ops() -> impl Strategy<Value = Vec<Op>> {
+    let population = (4096usize..4608, 0.05f64..5.0, any::<u64>())
+        .prop_map(|(count, think, seed)| Op::Population { count, think, seed });
+    let cycle = (1usize..256, 0.05f64..5.0, any::<u64>()).prop_map(|(k, think, seed)| Op::Cycle {
+        k,
+        think,
+        seed,
+    });
+    let steps = prop::collection::vec((cycle, op_strategy()), 1..12);
+    (population, steps).prop_map(|(first, steps)| {
+        let rest = steps.into_iter().flat_map(|(cycle, op)| [cycle, op]);
+        std::iter::once(first).chain(rest).collect()
+    })
 }
 
 /// `total_cmp` extremes both pools must order identically. (NaN is
@@ -129,6 +155,27 @@ fn run_pool_differential(ops: &[Op]) {
                 cal.retire_latest(k);
                 scan.retire_latest(k);
             }
+            Op::Population { count, think, seed } => {
+                let (dist, mut rng) = (Exponential::new(1.0 / think), SimRng::seed(seed));
+                for _ in 0..count {
+                    push_both(&mut cal, &mut scan, now + dist.sample(&mut rng));
+                }
+            }
+            Op::Cycle { k, think, seed } => {
+                let (dist, mut rng) = (Exponential::new(1.0 / think), SimRng::seed(seed));
+                for _ in 0..k {
+                    let a = cal.pop_min();
+                    let b = scan.pop_min();
+                    assert_eq!(
+                        a.map(f64::to_bits),
+                        b.map(f64::to_bits),
+                        "cycle pop diverged"
+                    );
+                    let Some(t) = a else { break };
+                    now = now.max(t.min(1e250));
+                    push_both(&mut cal, &mut scan, now + dist.sample(&mut rng));
+                }
+            }
         }
         assert_eq!(cal.len(), scan.len(), "len diverged");
         assert_eq!(
@@ -158,6 +205,16 @@ proptest! {
     fn calendar_pool_matches_reference_pool(
         ops in prop::collection::vec(op_strategy(), 1..300),
     ) {
+        run_pool_differential(&ops);
+    }
+}
+
+proptest! {
+    // The oracle pays O(clients) per pop, so fewer, larger cases.
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn calendar_pool_matches_reference_pool_at_4096_clients(ops in at_scale_ops()) {
         run_pool_differential(&ops);
     }
 }

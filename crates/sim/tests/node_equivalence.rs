@@ -9,6 +9,8 @@
 //! mixes of up to eight servers whose per-server slowdowns split
 //! speed-equal servers into different *effective* speeds. Rescales either
 //! keep each server's speed or land every server on one speed (all ties).
+//! An at-scale arm drives ladders of 32–64 servers under arrivals dense
+//! enough to keep every server busy and the queue growing.
 
 use hipster_platform::{CoreKind, Frequency};
 use hipster_sim::reference::ReferenceNode;
@@ -95,6 +97,47 @@ fn mixed_specs(n: usize, seed: u64) -> Vec<ServerSpec> {
         .collect()
 }
 
+/// The at-scale arm: a 64-server ladder, then bursts of heavy arrivals
+/// about 10 ms apart (well past what 64 servers drain), each burst
+/// followed by a re-ladder of 32–64 servers, a rescale, an advance or an
+/// interval boundary.
+fn at_scale_ops() -> impl Strategy<Value = Vec<Op>> {
+    let arrival = (0.0f64..0.02, 1.0f64..4.0, 0.0f64..0.25)
+        .prop_map(|(dt, work, mem)| Op::Arrive { dt, work, mem });
+    let other = prop_oneof![
+        (0.0f64..0.5).prop_map(|dt| Op::Advance { dt }),
+        (32usize..=64, 0u64..8, 0.0f64..0.3).prop_map(|(n, seed, stall)| Op::Remap {
+            n,
+            seed,
+            stall,
+            mixed: false
+        }),
+        (0.5f64..2.0, 0.0f64..0.1, any::<bool>()).prop_map(|(factor, stall, uniform)| {
+            Op::Rescale {
+                factor,
+                stall,
+                uniform,
+            }
+        }),
+        Just(Op::Interval),
+    ];
+    let step = (prop::collection::vec(arrival, 1..16), other).prop_map(|(mut ops, op)| {
+        ops.push(op);
+        ops
+    });
+    (0u64..8, prop::collection::vec(step, 1..60)).prop_map(|(seed, steps)| {
+        let ladder = Op::Remap {
+            n: 64,
+            seed,
+            stall: 0.0,
+            mixed: false,
+        };
+        std::iter::once(ladder)
+            .chain(steps.into_iter().flatten())
+            .collect()
+    })
+}
+
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         (0.0f64..0.4, 0.1f64..4.0, 0.0f64..0.5).prop_map(|(dt, work, mem)| Op::Arrive {
@@ -134,8 +177,9 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 }
 
 /// Applies `ops` to both implementations in lock-step, asserting identical
-/// observable behaviour after every step.
-fn run_differential(ops: &[Op], timeout: Option<f64>) {
+/// observable behaviour after every step. Returns the most requests ever
+/// in flight at once.
+fn run_differential(ops: &[Op], timeout: Option<f64>) -> usize {
     let mut new = ServiceNode::new();
     let mut old = ReferenceNode::new();
     new.set_timeout(timeout);
@@ -155,6 +199,7 @@ fn run_differential(ops: &[Op], timeout: Option<f64>) {
     let mut kick_at: Option<f64> = None;
     let mut new_done = Vec::new();
     let mut old_done = Vec::new();
+    let mut peak_in_flight = 0;
     let deliver_kick =
         |new: &mut ServiceNode, old: &mut ReferenceNode, kick_at: &mut Option<f64>, t: f64| {
             if let Some(k) = *kick_at {
@@ -255,6 +300,7 @@ fn run_differential(ops: &[Op], timeout: Option<f64>) {
             "next completion diverged"
         );
         assert_eq!(new.total_completed(), old.total_completed());
+        peak_in_flight = peak_in_flight.max(new.in_flight());
     }
     // A revoked node gets its servers back, then both drain and compare
     // the final interval.
@@ -272,6 +318,29 @@ fn run_differential(ops: &[Op], timeout: Option<f64>) {
     let a = new.end_interval(now, 0.95);
     let b = old.end_interval(now, 0.95);
     assert_eq!(a, b, "final interval stats diverged");
+    peak_in_flight
+}
+
+/// Witness for the at-scale arm: heavy arrivals 5 ms apart fill every
+/// server of the 64-server ladder and queue the rest.
+#[test]
+fn sixty_four_server_ladder_runs_full() {
+    let ladder = Op::Remap {
+        n: 64,
+        seed: 0,
+        stall: 0.0,
+        mixed: false,
+    };
+    let arrivals = (0..400).map(|_| Op::Arrive {
+        dt: 0.005,
+        work: 3.0,
+        mem: 0.1,
+    });
+    let ops: Vec<Op> = std::iter::once(ladder)
+        .chain(arrivals)
+        .chain([Op::Interval])
+        .collect();
+    assert_eq!(run_differential(&ops, None), 64);
 }
 
 proptest! {
@@ -291,5 +360,10 @@ proptest! {
         // A short client deadline relative to the op time scale, so the
         // dispatch-side shedding path runs constantly.
         run_differential(&ops, Some(0.75));
+    }
+
+    #[test]
+    fn service_node_matches_reference_node_on_a_64_server_ladder(ops in at_scale_ops()) {
+        run_differential(&ops, None);
     }
 }

@@ -59,7 +59,7 @@
 //! # Scaling further: a cluster
 //!
 //! A [`ClusterSpec`] declares N nodes — each its own engine, policy and
-//! split seed — behind an O(1) load-balancing dispatcher
+//! split seed — behind a load-balancing dispatcher
 //! ([`DispatchPolicy`]), with optional burst overflow to priced cloud
 //! nodes past an occupancy watermark ([`OverflowSpec`]); the resulting
 //! [`ClusterSim`](core::ClusterSim) accumulates cluster-wide p95/p99,

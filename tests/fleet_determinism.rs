@@ -1,11 +1,10 @@
 //! Determinism regression: the same `ScenarioSpec` produces byte-identical
-//! traces whether it runs serially, through the multi-threaded
-//! work-stealing `Fleet`, or through the static-partition baseline
-//! scheduler (`hipster::core::reference::run_static_chunked`).
+//! traces whether it runs serially or through the multi-threaded
+//! work-stealing `Fleet`.
 
 use hipster::workloads::{memcached, web_search};
 use hipster::{Diurnal, Fleet, Hipster, OctopusMan, Platform, Policy, Ramp, ScenarioSpec};
-use hipster_core::{reference, HeuristicMapper, StaticPolicy, Zones};
+use hipster_core::{HeuristicMapper, StaticPolicy, Zones};
 
 /// One scenario, reconstructed identically on every call (specs are
 /// single-use: they own their telemetry sinks).
@@ -166,7 +165,7 @@ fn fig5_fig8_fleet() -> Fleet {
 }
 
 #[test]
-fn work_stealing_matches_serial_and_static_chunking_on_fig5_fig8_fleets() {
+fn work_stealing_matches_serial_on_fig5_fig8_fleets() {
     // Serial execution (one worker) is the ground truth.
     let serial = fig5_fig8_fleet().threads(1).run().expect("valid fleet");
     let serial_csv: Vec<(String, u64, String)> = serial
@@ -184,21 +183,6 @@ fn work_stealing_matches_serial_and_static_chunking_on_fig5_fig8_fleets() {
             o.trace.to_csv().into_bytes(),
             csv.clone().into_bytes(),
             "work-stealing diverged on {name}"
-        );
-    }
-
-    // ... and so must the static-partition baseline scheduler.
-    let (chunked, stats) =
-        reference::run_static_chunked(fig5_fig8_fleet().threads(4)).expect("valid fleet");
-    assert_eq!(stats.workers, 4);
-    assert_eq!(chunked.len(), serial_csv.len());
-    for (o, (name, seed, csv)) in chunked.iter().zip(serial_csv.iter()) {
-        assert_eq!(&o.name, name);
-        assert_eq!(&o.seed, seed);
-        assert_eq!(
-            o.trace.to_csv().into_bytes(),
-            csv.clone().into_bytes(),
-            "static chunking diverged on {name}"
         );
     }
 }
