@@ -8,7 +8,8 @@
 
 use hipster_bench::experiments::cluster::{cluster_spec, sweep_digests};
 use hipster_bench::experiments::faults;
-use hipster_bench::runner::static_all_big;
+use hipster_bench::runner::{hipster_in, static_all_big, Workload};
+use hipster_core::{run_tasks, ClusterOutcome};
 
 #[test]
 fn sweep_is_identical_across_execution_strategies() {
@@ -18,6 +19,57 @@ fn sweep_is_identical_across_execution_strategies() {
     assert!(!serial.is_empty(), "the digest sweep ran no clusters");
     assert_eq!(serial, two_workers, "1 vs 2 workers diverged");
     assert_eq!(serial, four_workers, "1 vs 4 workers diverged");
+}
+
+/// The clusters above have 4–8 nodes, so each steps its nodes inline.
+/// These have 64, enough for the node stage to step them on threads of
+/// its own on any multi-core host, and they run nested inside 1, 2 or 4
+/// fleet workers: a clean learning cluster and both zone-wave arms must
+/// still replay byte-for-byte.
+#[test]
+fn large_clusters_are_identical_across_fleet_and_node_stage_threads() {
+    type Row = (String, u64, u64, String, String);
+    let sweep = |threads: usize| -> Vec<Row> {
+        let row = |out: ClusterOutcome| {
+            let summary = format!("{:?}", out.summary);
+            let csv = out.trace.to_csv();
+            (out.name, out.decision_digest, out.decisions, summary, csv)
+        };
+        let mut tasks: Vec<(String, Box<dyn FnOnce() -> Row + Send>)> = vec![(
+            "n64/HipsterIn".to_owned(),
+            Box::new(move || {
+                let policy = hipster_in(Workload::Memcached.tuned_zones(), 2, 0.05);
+                row(cluster_spec("n64/HipsterIn", 64, policy, 6, 7)
+                    .build()
+                    .expect("valid cluster spec")
+                    .run())
+            }),
+        )];
+        for mitigation in [true, false] {
+            let name = format!("n64/zonewave/{mitigation}");
+            tasks.push((
+                name.clone(),
+                Box::new(move || {
+                    row(faults::zonewave_cluster_spec(
+                        name,
+                        64,
+                        static_all_big(),
+                        8,
+                        31,
+                        mitigation,
+                    )
+                    .build()
+                    .expect("valid zone-wave cluster spec")
+                    .run())
+                }),
+            ));
+        }
+        run_tasks(tasks, threads).expect("large-cluster sweep").0
+    };
+    let serial = sweep(1);
+    assert_eq!(serial, sweep(2), "1 vs 2 fleet workers diverged");
+    assert_eq!(serial, sweep(4), "1 vs 4 fleet workers diverged");
+    assert_ne!(serial[1].1, serial[2].1, "zone-wave mitigation must matter");
 }
 
 /// PR 8: the same property under fault injection. Fault timelines ride

@@ -28,6 +28,22 @@
 //! be compared event for event — the hook the determinism suites use and
 //! the per-policy pins in this module's tests hold fixed.
 //!
+//! # One interval
+//!
+//! [`ClusterSim::step`] runs an interval as a list of phases: the fault
+//! overlay (node and domain fault states, the retry drain), the occupancy
+//! publish, admission (the brownout ladder), placement, the node stage
+//! and the fold. Once placement has assigned every node its load, the
+//! nodes' engine steps are independent, so the node stage runs them on
+//! up to one thread per available core, each thread claiming small node
+//! chunks from a shared iterator. The thread count is derived, never
+//! configured: it is capped at one thread per 16 nodes, so small clusters
+//! and one-core hosts step inline on the calling thread. Each node's
+//! result lands in its own slot, and the fold reads the slots in node
+//! order, so every sum and digest fold is identical at any thread count.
+//! A node's panic is re-raised after the stage from the lowest-index
+//! failing node, on the calling thread.
+//!
 //! # Example
 //!
 //! ```
@@ -61,14 +77,15 @@ pub mod metrics;
 pub mod overflow;
 pub mod retry;
 
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use hipster_platform::Platform;
 use hipster_sim::{
     BatchProgram, DomainFaultSpec, EngineSpec, EngineSpecError, FaultPlan, FaultSpec,
-    FaultSpecError, FaultState, HedgeSpec, LcModel, LoadPattern, QosTarget, SimRng, TopologySpec,
-    WavePlan,
+    FaultSpecError, FaultState, HedgeSpec, IntervalStats, LcModel, LoadPattern, QosTarget, SimRng,
+    TopologySpec, WavePlan,
 };
 
 use crate::fleet::split_seed;
@@ -551,6 +568,7 @@ impl ClusterSpec {
                 manager,
                 cell,
                 carry: 0,
+                stats: None,
             });
         }
 
@@ -595,6 +613,7 @@ impl ClusterSpec {
 
         Ok(ClusterSim {
             name: self.name,
+            workers: stage_workers(total),
             nodes,
             n_private: self.private_nodes,
             private_dispatch,
@@ -657,6 +676,79 @@ struct NodeSlot {
     cell: Arc<AtomicU64>,
     /// Backlog carried into the next interval, in quanta.
     carry: u32,
+    /// This interval's engine result (or its panic), written by whichever
+    /// node-stage worker stepped the node and taken by the fold.
+    stats: Option<std::thread::Result<IntervalStats>>,
+}
+
+/// Fewest nodes that earn a node-stage worker thread. On a 2-core host a
+/// scoped spawn and join costs about 46 µs and one node interval 16–20 µs,
+/// so clusters under twice this size step inline on the calling thread.
+const MIN_NODES_PER_WORKER: usize = 16;
+
+/// Nodes a node-stage worker claims at a time: small enough that workers
+/// even out nodes of unequal cost (private vs cloud, faulted vs healthy).
+const NODE_CHUNK: usize = 8;
+
+/// The node stage's worker count: one per available core, capped so each
+/// worker gets at least [`MIN_NODES_PER_WORKER`] nodes.
+fn stage_workers(nodes: usize) -> usize {
+    match nodes / MIN_NODES_PER_WORKER {
+        0 | 1 => 1,
+        cap => std::thread::available_parallelism().map_or(1, |n| n.get().min(cap)),
+    }
+}
+
+/// Steps every node's engine interval on `workers` threads, the calling
+/// thread among them (one worker runs inline, spawning nothing). Workers
+/// claim [`NODE_CHUNK`]-node chunks from one shared iterator, and each
+/// node's result, or its caught panic, lands in the node's own slot.
+fn step_nodes(nodes: &mut [NodeSlot], workers: usize) {
+    let chunks = Mutex::new(nodes.chunks_mut(NODE_CHUNK));
+    let claim = || chunks.lock().expect("node chunk cursor poisoned").next();
+    let work = || {
+        while let Some(chunk) = claim() {
+            for slot in chunk {
+                slot.stats = Some(catch_unwind(AssertUnwindSafe(|| slot.manager.step())));
+            }
+        }
+    };
+    if workers <= 1 {
+        return work();
+    }
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        work();
+        // Join each helper outright: a scope's implicit join returns
+        // before the thread has released its malloc arena, so the next
+        // interval's helper could open yet another arena.
+        for helper in helpers {
+            helper.join().expect("node-stage workers catch node panics");
+        }
+    });
+}
+
+/// What one interval's phases hand each other, from
+/// [`ClusterSim::begin`] to the fold.
+#[derive(Debug, Default)]
+struct StepCtx {
+    idx: u64,
+    now: f64,
+    /// Offered fraction of private-tier capacity.
+    offered: f64,
+    capacity_quanta: u64,
+    /// Fresh quanta the offered load amounts to.
+    total_quanta: usize,
+    have_faults: bool,
+    revoked_nodes: usize,
+    straggling_nodes: usize,
+    /// Retried quanta joining this interval's placement, placed first.
+    retried_quanta: usize,
+    dropped_quanta: usize,
+    all_private_masked: bool,
+    deferred_now: usize,
+    released_quanta: usize,
+    spilled: usize,
 }
 
 /// A batch of quanta stranded by a revocation, waiting out its backoff.
@@ -686,6 +778,8 @@ fn fnv_fold(mut hash: u64, value: u64) -> u64 {
 pub struct ClusterSim {
     name: String,
     nodes: Vec<NodeSlot>,
+    /// Node-stage threads, derived at build by [`stage_workers`].
+    workers: usize,
     n_private: usize,
     private_dispatch: Dispatcher,
     cloud_dispatch: Option<Dispatcher>,
@@ -774,147 +868,172 @@ impl ClusterSim {
     /// Simulates one monitoring interval across every node and returns
     /// its cluster-wide aggregate.
     pub fn step(&mut self) -> ClusterInterval {
+        let mut cx = self.begin();
+        if cx.have_faults {
+            self.fault_overlay(&mut cx);
+        }
+        self.publish_occupancy();
+        if self.mitigation && !self.admission.is_none() {
+            self.admit(&mut cx);
+        }
+        self.place(&mut cx);
+        self.node_stage(&cx);
+        let interval = self.fold(&cx);
+        self.trace.push(interval.clone());
+        self.stepped += 1;
+        interval
+    }
+
+    /// Reads the interval's offered load and sizes it in quanta.
+    fn begin(&self) -> StepCtx {
         let now = self.stepped as f64 * self.interval_s;
-        let idx = self.stepped as u64;
         let offered = self.load.load_at(now).max(0.0);
         let capacity_quanta = (self.n_private * self.q) as u64;
-        let total_quanta = (offered * capacity_quanta as f64).round() as usize;
-
-        // --- Fault overlay. Inactive (no node plan, no wave plan) this
-        // block folds nothing into the digest and touches nothing — the
-        // run stays byte-identical to a fault-free cluster.
-        let mut revoked_nodes = 0usize;
-        let mut straggling_nodes = 0usize;
-        let mut retried_quanta = 0usize;
-        let mut dropped_quanta = 0usize;
-        let mut extra_quanta = 0usize;
-        let mut all_private_masked = false;
-        let have_faults = self.faults.is_some() || self.waves.is_some();
-        if have_faults {
-            // Sample each private node's fault state — the correlated
-            // wave state of its zone and rack combined with its own
-            // independent timeline. On a fresh revocation (mitigation
-            // on) mask the node out of dispatch and strand its carried
-            // backlog into the retry queue. A warned revocation
-            // re-dispatches immediately; an unwarned one waits out the
-            // base backoff first.
-            for i in 0..self.n_private {
-                let mut state = match self.waves.as_mut() {
-                    Some(w) => w.state(i, now),
-                    None => FaultState::Healthy,
-                };
-                if let Some(plan) = self.faults.as_mut() {
-                    state = FaultState::combine(state, plan.state(i, now));
-                }
-                self.node_fault[i] = state;
-                match state {
-                    FaultState::Revoked { warned } => {
-                        revoked_nodes += 1;
-                        if self.mitigation {
-                            if !self.private_dispatch.is_masked(i) {
-                                self.private_dispatch.set_masked(i, true);
-                                self.digest = fnv_fold(self.digest, (2 << 32) | i as u64);
-                            }
-                            let carry = self.nodes[i].carry;
-                            if carry > 0 {
-                                let due = if warned {
-                                    idx
-                                } else {
-                                    idx + self.retry.backoff_for(0)
-                                };
-                                self.retries.push(RetryBatch {
-                                    due,
-                                    attempt: 1,
-                                    count: carry,
-                                });
-                                self.nodes[i].carry = 0;
-                            }
-                        }
-                    }
-                    FaultState::Straggling { .. } => {
-                        straggling_nodes += 1;
-                        if self.private_dispatch.is_masked(i) {
-                            self.private_dispatch.set_masked(i, false);
-                            self.digest = fnv_fold(self.digest, (3 << 32) | i as u64);
-                        }
-                    }
-                    FaultState::Healthy => {
-                        if self.private_dispatch.is_masked(i) {
-                            self.private_dispatch.set_masked(i, false);
-                            self.digest = fnv_fold(self.digest, (3 << 32) | i as u64);
-                        }
-                    }
-                }
-            }
-            all_private_masked = (0..self.n_private).all(|i| self.private_dispatch.is_masked(i));
-
-            // Tell the dispatcher which whole domains are degraded this
-            // interval so p2c re-probes and retry placement steer toward
-            // survivors; every transition folds into the digest (tag 7 =
-            // zone, tag 8 = rack).
-            if self.mitigation {
-                if let Some(w) = self.waves.as_mut() {
-                    for z in 0..self.zone_bad.len() {
-                        let bad = w.zone_state(z, now).is_faulted();
-                        if bad != self.zone_bad[z] {
-                            self.zone_bad[z] = bad;
-                            self.private_dispatch.set_domain_degraded(false, z, bad);
-                            self.digest = fnv_fold(
-                                self.digest,
-                                (7 << 32) | ((z as u64) << 1) | u64::from(bad),
-                            );
-                        }
-                    }
-                    for r in 0..self.rack_bad.len() {
-                        let bad = w.rack_state(r, now).is_faulted();
-                        if bad != self.rack_bad[r] {
-                            self.rack_bad[r] = bad;
-                            self.private_dispatch.set_domain_degraded(true, r, bad);
-                            self.digest = fnv_fold(
-                                self.digest,
-                                (8 << 32) | ((r as u64) << 1) | u64::from(bad),
-                            );
-                        }
-                    }
-                }
-            }
-
-            // Drain due retry batches back into this interval's dispatch
-            // volume; batches out of attempts with nowhere to go are
-            // dropped, the rest wait out an exponentially longer backoff.
-            let any_private = !all_private_masked;
-            let can_spill = self.cloud_dispatch.is_some() && self.overflow.is_some();
-            let mut parked = std::mem::take(&mut self.retry_scratch);
-            parked.clear();
-            for batch in self.retries.drain(..) {
-                if batch.due > idx {
-                    parked.push(batch);
-                } else if any_private || can_spill {
-                    extra_quanta += batch.count as usize;
-                    retried_quanta += batch.count as usize;
-                    self.digest = fnv_fold(self.digest, (4 << 32) | u64::from(batch.count));
-                } else if batch.attempt >= self.retry.max_attempts {
-                    dropped_quanta += batch.count as usize;
-                    self.digest = fnv_fold(self.digest, (5 << 32) | u64::from(batch.count));
-                } else {
-                    parked.push(RetryBatch {
-                        due: idx + self.retry.backoff_for(batch.attempt),
-                        attempt: batch.attempt + 1,
-                        count: batch.count,
-                    });
-                }
-            }
-            std::mem::swap(&mut self.retries, &mut parked);
-            self.retry_scratch = parked;
+        StepCtx {
+            idx: self.stepped as u64,
+            now,
+            offered,
+            capacity_quanta,
+            total_quanta: (offered * capacity_quanta as f64).round() as usize,
+            have_faults: self.faults.is_some() || self.waves.is_some(),
+            ..StepCtx::default()
         }
+    }
 
-        // Interval-start occupancy: each node's carried backlog. Masked
-        // (revoked) nodes report their full capacity share (`q`) so the
-        // watermark sees exactly the lost capacity — mass revocation then
-        // overflows to the cloud tier as graceful degradation. Straggling
-        // nodes (mitigation on) report the capacity fraction a slowdown
-        // of `s` actually forfeits, `(1 - 1/s)·q`, so power-of-two picks
-        // steer around them without the watermark over-counting.
+    /// Fault overlay: node fault states, degraded domains and the retry
+    /// drain. It runs only with a node or wave plan armed; without one
+    /// nothing folds into the digest and nothing is touched, so the run
+    /// stays byte-identical to a fault-free cluster.
+    fn fault_overlay(&mut self, cx: &mut StepCtx) {
+        self.sample_node_faults(cx);
+        if self.mitigation {
+            self.flag_degraded_domains(cx.now);
+        }
+        self.drain_retries(cx);
+    }
+
+    /// Samples each private node's fault state — the correlated wave
+    /// state of its zone and rack combined with its own independent
+    /// timeline. On a fresh revocation (mitigation on) masks the node out
+    /// of dispatch and strands its carried backlog into the retry queue.
+    /// A warned revocation re-dispatches immediately; an unwarned one
+    /// waits out the base backoff first.
+    fn sample_node_faults(&mut self, cx: &mut StepCtx) {
+        for i in 0..self.n_private {
+            let mut state = match self.waves.as_mut() {
+                Some(w) => w.state(i, cx.now),
+                None => FaultState::Healthy,
+            };
+            if let Some(plan) = self.faults.as_mut() {
+                state = FaultState::combine(state, plan.state(i, cx.now));
+            }
+            self.node_fault[i] = state;
+            match state {
+                FaultState::Revoked { warned } => {
+                    cx.revoked_nodes += 1;
+                    if self.mitigation {
+                        if !self.private_dispatch.is_masked(i) {
+                            self.private_dispatch.set_masked(i, true);
+                            self.digest = fnv_fold(self.digest, (2 << 32) | i as u64);
+                        }
+                        let carry = self.nodes[i].carry;
+                        if carry > 0 {
+                            let due = if warned {
+                                cx.idx
+                            } else {
+                                cx.idx + self.retry.backoff_for(0)
+                            };
+                            self.retries.push(RetryBatch {
+                                due,
+                                attempt: 1,
+                                count: carry,
+                            });
+                            self.nodes[i].carry = 0;
+                        }
+                    }
+                }
+                FaultState::Straggling { .. } => {
+                    cx.straggling_nodes += 1;
+                    if self.private_dispatch.is_masked(i) {
+                        self.private_dispatch.set_masked(i, false);
+                        self.digest = fnv_fold(self.digest, (3 << 32) | i as u64);
+                    }
+                }
+                FaultState::Healthy => {
+                    if self.private_dispatch.is_masked(i) {
+                        self.private_dispatch.set_masked(i, false);
+                        self.digest = fnv_fold(self.digest, (3 << 32) | i as u64);
+                    }
+                }
+            }
+        }
+        cx.all_private_masked = (0..self.n_private).all(|i| self.private_dispatch.is_masked(i));
+    }
+
+    /// Tells the dispatcher which whole domains are degraded this
+    /// interval so p2c re-probes and retry placement steer toward
+    /// survivors; every transition folds into the digest (tag 7 = zone,
+    /// tag 8 = rack).
+    fn flag_degraded_domains(&mut self, now: f64) {
+        let Some(w) = self.waves.as_mut() else {
+            return;
+        };
+        for z in 0..self.zone_bad.len() {
+            let bad = w.zone_state(z, now).is_faulted();
+            if bad != self.zone_bad[z] {
+                self.zone_bad[z] = bad;
+                self.private_dispatch.set_domain_degraded(false, z, bad);
+                self.digest = fnv_fold(self.digest, (7 << 32) | ((z as u64) << 1) | u64::from(bad));
+            }
+        }
+        for r in 0..self.rack_bad.len() {
+            let bad = w.rack_state(r, now).is_faulted();
+            if bad != self.rack_bad[r] {
+                self.rack_bad[r] = bad;
+                self.private_dispatch.set_domain_degraded(true, r, bad);
+                self.digest = fnv_fold(self.digest, (8 << 32) | ((r as u64) << 1) | u64::from(bad));
+            }
+        }
+    }
+
+    /// Drains due retry batches back into this interval's dispatch
+    /// volume; batches out of attempts with nowhere to go are dropped,
+    /// the rest wait out an exponentially longer backoff.
+    fn drain_retries(&mut self, cx: &mut StepCtx) {
+        let any_private = !cx.all_private_masked;
+        let can_spill = self.cloud_dispatch.is_some() && self.overflow.is_some();
+        let mut parked = std::mem::take(&mut self.retry_scratch);
+        parked.clear();
+        for batch in self.retries.drain(..) {
+            if batch.due > cx.idx {
+                parked.push(batch);
+            } else if any_private || can_spill {
+                cx.retried_quanta += batch.count as usize;
+                self.digest = fnv_fold(self.digest, (4 << 32) | u64::from(batch.count));
+            } else if batch.attempt >= self.retry.max_attempts {
+                cx.dropped_quanta += batch.count as usize;
+                self.digest = fnv_fold(self.digest, (5 << 32) | u64::from(batch.count));
+            } else {
+                parked.push(RetryBatch {
+                    due: cx.idx + self.retry.backoff_for(batch.attempt),
+                    attempt: batch.attempt + 1,
+                    count: batch.count,
+                });
+            }
+        }
+        std::mem::swap(&mut self.retries, &mut parked);
+        self.retry_scratch = parked;
+    }
+
+    /// Occupancy publish: each node's interval-start occupancy is its
+    /// carried backlog. Masked (revoked) nodes report their full capacity
+    /// share (`q`) so the watermark sees exactly the lost capacity — mass
+    /// revocation then overflows to the cloud tier as graceful
+    /// degradation. Straggling nodes (mitigation on) report the capacity
+    /// fraction a slowdown of `s` actually forfeits, `(1 - 1/s)·q`, so
+    /// power-of-two picks steer around them without the watermark
+    /// over-counting.
+    fn publish_occupancy(&mut self) {
         for i in 0..self.n_private {
             let occ = if self.private_dispatch.is_masked(i) {
                 (self.q as u32).max(self.nodes[i].carry)
@@ -936,50 +1055,50 @@ impl ClusterSim {
                 cd.set_occupancy(j, slot.carry);
             }
         }
+    }
 
-        // --- Overload protection. The brownout ladder reads interval-
-        // start occupancy: rung 1 sheds colocated batch, rung 2 parks a
-        // fraction of fresh arrivals in the defer queue and releases
-        // them (capacity-capped) once pressure lifts. Unarmed (or with
-        // mitigation off) this folds nothing and changes nothing.
-        let mut deferred_now = 0usize;
-        let mut released_quanta = 0usize;
-        if self.mitigation && !self.admission.is_none() {
-            let occ_frac = self.private_dispatch.total() as f64 / capacity_quanta as f64;
-            let shed = occ_frac >= self.admission.shed_watermark;
-            if shed != self.shedding {
-                self.shedding = shed;
-                self.digest = fnv_fold(self.digest, (10 << 32) | u64::from(shed));
-            }
-            if occ_frac >= self.admission.defer_watermark {
-                deferred_now =
-                    (self.admission.best_effort_frac * total_quanta as f64).floor() as usize;
-                if deferred_now > 0 {
-                    self.deferred += deferred_now as u64;
-                    self.digest = fnv_fold(self.digest, (11 << 32) | deferred_now as u64);
-                }
-            } else if self.deferred > 0 {
-                released_quanta = self.deferred.min(capacity_quanta) as usize;
-                self.deferred -= released_quanta as u64;
-                self.digest = fnv_fold(self.digest, (12 << 32) | released_quanta as u64);
-            }
+    /// Admission: the brownout ladder reads interval-start occupancy.
+    /// Rung 1 sheds colocated batch; rung 2 parks a fraction of fresh
+    /// arrivals in the defer queue and releases them (capacity-capped)
+    /// once pressure lifts. Only an armed ladder with mitigation on runs
+    /// this phase.
+    fn admit(&mut self, cx: &mut StepCtx) {
+        let occ_frac = self.private_dispatch.total() as f64 / cx.capacity_quanta as f64;
+        let shed = occ_frac >= self.admission.shed_watermark;
+        if shed != self.shedding {
+            self.shedding = shed;
+            self.digest = fnv_fold(self.digest, (10 << 32) | u64::from(shed));
         }
+        if occ_frac >= self.admission.defer_watermark {
+            cx.deferred_now =
+                (self.admission.best_effort_frac * cx.total_quanta as f64).floor() as usize;
+            if cx.deferred_now > 0 {
+                self.deferred += cx.deferred_now as u64;
+                self.digest = fnv_fold(self.digest, (11 << 32) | cx.deferred_now as u64);
+            }
+        } else if self.deferred > 0 {
+            cx.released_quanta = self.deferred.min(cx.capacity_quanta) as usize;
+            self.deferred -= cx.released_quanta as u64;
+            self.digest = fnv_fold(self.digest, (12 << 32) | cx.released_quanta as u64);
+        }
+    }
 
-        // Place the interval's quanta one decision at a time, retried
-        // quanta first (they may take the dispatcher's domain-aware
-        // retry path); with the whole private tier revoked and no cloud
-        // to spill to, fresh quanta are stranded into the retry queue
-        // instead of dispatched onto dead nodes.
+    /// Placement: places the interval's quanta one decision at a time,
+    /// retried quanta first (they may take the dispatcher's domain-aware
+    /// retry path). With the whole private tier revoked and no cloud to
+    /// spill to, fresh quanta are stranded into the retry queue instead
+    /// of dispatched onto dead nodes.
+    fn place(&mut self, cx: &mut StepCtx) {
         self.assigned.fill(0);
-        let mut spilled = 0usize;
         let mut stranded = 0u32;
-        let place_total = extra_quanta + total_quanta - deferred_now + released_quanta;
+        let place_total =
+            cx.retried_quanta + cx.total_quanta - cx.deferred_now + cx.released_quanta;
         for k in 0..place_total {
             let spill = match (&self.cloud_dispatch, &self.overflow) {
-                (Some(_), Some(of)) => of.spills(self.private_dispatch.total(), capacity_quanta),
+                (Some(_), Some(of)) => of.spills(self.private_dispatch.total(), cx.capacity_quanta),
                 _ => false,
             };
-            if all_private_masked && !spill {
+            if cx.all_private_masked && !spill {
                 stranded += 1;
                 self.digest = fnv_fold(self.digest, 6 << 32);
                 continue;
@@ -987,11 +1106,11 @@ impl ClusterSim {
             let (tier_tag, node) = if spill {
                 let cd = self.cloud_dispatch.as_mut().expect("checked above");
                 let local = cd.pick(&mut self.rng);
-                spilled += 1;
+                cx.spilled += 1;
                 self.assigned[self.n_private + local] += 1;
                 (1u64, local)
             } else {
-                let local = if k < extra_quanta {
+                let local = if k < cx.retried_quanta {
                     self.private_dispatch.pick_retry(&mut self.rng)
                 } else {
                     self.private_dispatch.pick(&mut self.rng)
@@ -1004,13 +1123,48 @@ impl ClusterSim {
         }
         if stranded > 0 {
             self.retries.push(RetryBatch {
-                due: idx + self.retry.backoff_for(0),
+                due: cx.idx + self.retry.backoff_for(0),
                 attempt: 1,
                 count: stranded,
             });
         }
+    }
 
-        // Run every node's engine interval at its assigned load fraction.
+    /// Node stage: hands every node its load fraction, external fault and
+    /// shed flag, then steps every node's engine on the derived worker
+    /// count (see `step_nodes`). A node's panic is caught in its slot;
+    /// once every node has run, the lowest-index failing node's original
+    /// panic is re-raised on the calling thread, so the failure a caller
+    /// sees does not depend on which worker stepped which node.
+    fn node_stage(&mut self, cx: &StepCtx) {
+        for (i, slot) in self.nodes.iter_mut().enumerate() {
+            let frac = f64::from(self.assigned[i]) / self.q as f64;
+            // Relaxed suffices: the cell publishes only its own value, and
+            // the stage's thread spawn and chunk lock order this store
+            // before the worker's step reads it.
+            slot.cell.store(frac.to_bits(), Ordering::Relaxed);
+            if cx.have_faults && i < self.n_private {
+                slot.manager.set_external_fault(self.node_fault[i]);
+            }
+            if self.has_batch && i < self.n_private {
+                slot.manager.set_batch_shed(self.shedding);
+            }
+        }
+        step_nodes(&mut self.nodes, self.workers);
+        let failed = self
+            .nodes
+            .iter_mut()
+            .find(|s| matches!(s.stats, Some(Err(_))));
+        if let Some(Err(payload)) = failed.and_then(|s| s.stats.take()) {
+            resume_unwind(payload);
+        }
+    }
+
+    /// Fold: walks the node slots in node order — exactly the order a
+    /// serial loop would step them — so every f64 sum, tail sample, hedge
+    /// delta and digest fold is bit-identical for any worker count. Each
+    /// node's end-of-interval backlog becomes its carried occupancy.
+    fn fold(&mut self, cx: &StepCtx) -> ClusterInterval {
         let (mut arrivals, mut completions, mut timeouts) = (0usize, 0usize, 0usize);
         let mut private_energy = 0.0;
         let mut cloud_busy_req_s = 0.0;
@@ -1019,15 +1173,9 @@ impl ClusterSim {
         let mut straggled_total = 0u64;
         self.scratch_tails.clear();
         for (i, slot) in self.nodes.iter_mut().enumerate() {
-            let frac = f64::from(self.assigned[i]) / self.q as f64;
-            slot.cell.store(frac.to_bits(), Ordering::Relaxed);
-            if have_faults && i < self.n_private {
-                slot.manager.set_external_fault(self.node_fault[i]);
-            }
-            if self.has_batch && i < self.n_private {
-                slot.manager.set_batch_shed(self.shedding);
-            }
-            let stats = slot.manager.step();
+            let Some(Ok(stats)) = slot.stats.take() else {
+                unreachable!("the node stage steps every node and re-raises panics");
+            };
             arrivals += stats.arrivals;
             completions += stats.completions;
             timeouts += stats.timeouts;
@@ -1060,13 +1208,13 @@ impl ClusterSim {
             Some(of) => self.bill.charge(cloud_busy_req_s, of),
             None => 0.0,
         };
-        let interval = ClusterInterval {
-            index: self.stepped as u64,
-            start_s: now,
+        ClusterInterval {
+            index: cx.idx,
+            start_s: cx.now,
             duration_s: self.interval_s,
-            offered_frac: offered,
-            quanta: total_quanta,
-            spilled_quanta: spilled,
+            offered_frac: cx.offered,
+            quanta: cx.total_quanta,
+            spilled_quanta: cx.spilled,
             arrivals,
             completions,
             timeouts,
@@ -1075,19 +1223,16 @@ impl ClusterSim {
             private_energy_j: private_energy,
             cloud_busy_req_s,
             cloud_cost_usd,
-            revoked_nodes,
-            straggling_nodes,
-            retried_quanta,
-            dropped_quanta,
+            revoked_nodes: cx.revoked_nodes,
+            straggling_nodes: cx.straggling_nodes,
+            retried_quanta: cx.retried_quanta,
+            dropped_quanta: cx.dropped_quanta,
             hedged_requests,
             straggled_requests,
-            deferred_quanta: deferred_now,
+            deferred_quanta: cx.deferred_now,
             batch_ips,
             shed_batch: self.shedding,
-        };
-        self.trace.push(interval.clone());
-        self.stepped += 1;
-        interval
+        }
     }
 
     /// Runs the remaining intervals and condenses the result.
@@ -1570,6 +1715,164 @@ mod tests {
         assert_eq!(off.summary.shed_intervals, 0);
         assert_eq!(off.summary.deferred_quanta, 0);
         assert_ne!(on.decision_digest, off.decision_digest);
+    }
+
+    /// Runs `spec` with its node stage on `workers` threads and renders
+    /// everything a worker count could perturb.
+    fn run_on(spec: ClusterSpec, workers: usize) -> (u64, u64, String, String) {
+        let mut sim = spec.build().unwrap();
+        sim.workers = workers;
+        let out = sim.run();
+        (
+            out.decision_digest,
+            out.decisions,
+            format!("{:?}", out.summary),
+            out.trace.to_csv(),
+        )
+    }
+
+    /// A 64-node private tier with 8 cloud nodes, learning Hipster nodes
+    /// and p2c dispatch, loaded past the overflow watermark.
+    fn wide_spec() -> ClusterSpec {
+        spec(64)
+            .policy(|p: &Platform, s: u64| {
+                Box::new(
+                    crate::Hipster::interactive(p, s)
+                        .learning_intervals(2)
+                        .build(),
+                ) as Box<dyn Policy>
+            })
+            .load(Constant::new(0.9, 10.0))
+            .dispatch(DispatchPolicy::PowerOfTwo)
+            .cloud_nodes(8)
+            .overflow(OverflowSpec::new(0.85, 1e-4))
+            .intervals(8)
+            .interval_s(0.02)
+    }
+
+    /// The same 64 + 8 nodes with every mitigation path armed: zone
+    /// revocation and rack straggler waves over a 4×4×4 topology, request
+    /// stragglers with hedging, the admission ladder, retries and a
+    /// deadline-bound batch bag.
+    fn wide_mitigated_spec() -> ClusterSpec {
+        spec(64)
+            .load(Constant::new(0.9, 10.0))
+            .cloud_nodes(8)
+            .overflow(OverflowSpec::new(0.85, 1e-4))
+            .intervals(16)
+            .interval_s(0.02)
+            .topology(TopologySpec::new(4, 4, 4).unwrap())
+            .domain_faults(
+                DomainFaultSpec::none()
+                    .with_zone_revocations(4.0, 0.1)
+                    .with_rack_stragglers(4.0, 0.1),
+            )
+            .faults(FaultSpec::none().with_request_stragglers(0.2, 1.5, 4.0, 20.0))
+            .hedge(HedgeSpec::after(2.0))
+            .admission(AdmissionSpec::new(0.1, 0.3, 0.5))
+            .retry(RetrySpec::default())
+            .batch_with(batch_pool)
+            .batch_deadline(BatchDeadline::new(8, 1e8, 0.2))
+    }
+
+    #[test]
+    fn node_stage_is_identical_at_any_worker_count() {
+        for (name, make) in [
+            ("p2c overflow", wide_spec as fn() -> ClusterSpec),
+            ("mitigated", wide_mitigated_spec),
+        ] {
+            let serial = run_on(make(), 1);
+            for workers in [2, 3, 7] {
+                assert!(
+                    serial == run_on(make(), workers),
+                    "{name}: 1 vs {workers} workers"
+                );
+            }
+        }
+        // Neither spec may pass vacuously: each path it arms must fire.
+        let out = wide_mitigated_spec().build().unwrap().run();
+        let s = &out.summary;
+        assert!(s.spill_frac > 0.0 && s.retried_quanta > 0, "{s:?}");
+        assert!(
+            s.straggling_node_intervals > 0 && s.hedged_requests > 0,
+            "{s:?}"
+        );
+        assert!(
+            s.shed_intervals > 0 && s.deadline_miss_pct.is_some(),
+            "{s:?}"
+        );
+        assert!(wide_spec().build().unwrap().run().summary.spill_frac > 0.0);
+    }
+
+    /// A static all-big policy that, when `failing`, panics at its third
+    /// decision (interval 2) naming its node.
+    #[derive(Debug)]
+    struct FailAt {
+        node: usize,
+        calls: usize,
+        failing: bool,
+        inner: StaticPolicy,
+    }
+
+    impl Policy for FailAt {
+        fn name(&self) -> &str {
+            "fail-at"
+        }
+
+        fn decide(&mut self, obs: &crate::Observation) -> hipster_platform::CoreConfig {
+            self.calls += 1;
+            if self.failing && self.calls == 3 {
+                panic!("node {} failed at interval 2", self.node);
+            }
+            self.inner.decide(obs)
+        }
+    }
+
+    /// 64 nodes whose nodes 20 and 45 both panic at interval 2.
+    fn failing_spec() -> ClusterSpec {
+        spec(64).policy(|p: &Platform, seed: u64| {
+            let node = (0..64u64).position(|i| split_seed(11, i) == seed).unwrap();
+            Box::new(FailAt {
+                node,
+                calls: 0,
+                failing: node == 20 || node == 45,
+                inner: StaticPolicy::all_big(p),
+            }) as Box<dyn Policy>
+        })
+    }
+
+    #[test]
+    fn node_panics_surface_the_lowest_failing_node_at_any_worker_count() {
+        for workers in [1, 2, 3, 7] {
+            let mut sim = failing_spec().build().unwrap();
+            sim.workers = workers;
+            sim.step();
+            sim.step();
+            let payload = catch_unwind(AssertUnwindSafe(|| sim.step())).unwrap_err();
+            assert_eq!(
+                crate::fleet::panic_message(payload.as_ref()),
+                "node 20 failed at interval 2",
+                "{workers} workers"
+            );
+        }
+        let fleet_error = |workers: usize, threads: usize| {
+            type Task = Box<dyn FnOnce() -> u64 + Send>;
+            let ok: Task = Box::new(|| spec(4).build().unwrap().run().decisions);
+            let failing: Task = Box::new(move || {
+                let mut sim = failing_spec().build().unwrap();
+                sim.workers = workers;
+                sim.run().decisions
+            });
+            let tasks = vec![("ok".to_owned(), ok), ("failing".to_owned(), failing)];
+            crate::fleet::run_tasks(tasks, threads)
+                .unwrap_err()
+                .to_string()
+        };
+        let serial = fleet_error(1, 1);
+        assert!(serial.contains("node 20 failed at interval 2"), "{serial}");
+        for (workers, threads) in [(2, 1), (7, 1), (1, 2), (3, 2)] {
+            assert_eq!(serial, fleet_error(workers, threads));
+        }
     }
 
     #[test]
