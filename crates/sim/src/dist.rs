@@ -120,6 +120,10 @@ pub struct BoundedPareto {
     lo: f64,
     hi: f64,
     alpha: f64,
+    /// `lo^alpha`, computed once.
+    lo_a: f64,
+    /// `hi^alpha`, computed once.
+    hi_a: f64,
 }
 
 impl BoundedPareto {
@@ -133,15 +137,20 @@ impl BoundedPareto {
             lo > 0.0 && hi > lo && alpha > 0.0,
             "invalid bounded Pareto: lo {lo}, hi {hi}, alpha {alpha}"
         );
-        BoundedPareto { lo, hi, alpha }
+        BoundedPareto {
+            lo,
+            hi,
+            alpha,
+            lo_a: lo.powf(alpha),
+            hi_a: hi.powf(alpha),
+        }
     }
 }
 
 impl Sampler for BoundedPareto {
     fn sample(&self, rng: &mut SimRng) -> f64 {
         let u = rng.uniform();
-        let la = self.lo.powf(self.alpha);
-        let ha = self.hi.powf(self.alpha);
+        let (la, ha) = (self.lo_a, self.hi_a);
         // Inversion of the bounded Pareto CDF.
         (-(u * ha - u * la - ha) / (ha * la)).powf(-1.0 / self.alpha)
     }
@@ -267,6 +276,22 @@ mod tests {
         for _ in 0..50_000 {
             let x = d.sample(&mut rng);
             assert!((1.0..=100.0).contains(&x), "{x} out of bounds");
+        }
+    }
+
+    #[test]
+    fn bounded_pareto_matches_the_per_draw_formula_bit_for_bit() {
+        // The pre-computed `lo^alpha` and `hi^alpha` must leave every draw
+        // exactly where computing them per draw put it.
+        for (lo, hi, alpha) in [(1.0, 100.0, 1.5), (1.2, 8.0, 0.7), (2.0, 3.0, 4.0)] {
+            let d = BoundedPareto::new(lo, hi, alpha);
+            let (mut rng, mut old) = (SimRng::seed(11), SimRng::seed(11));
+            for _ in 0..10_000 {
+                let u: f64 = old.uniform();
+                let (la, ha) = (f64::powf(lo, alpha), f64::powf(hi, alpha));
+                let want = (-(u * ha - u * la - ha) / (ha * la)).powf(-1.0 / alpha);
+                assert_eq!(d.sample(&mut rng).to_bits(), want.to_bits());
+            }
         }
     }
 

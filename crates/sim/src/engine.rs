@@ -1,17 +1,40 @@
 //! The simulation engine: steps the machine one monitoring interval at a
 //! time under a given configuration, producing the observations the Hipster
 //! QoS Monitor consumes (tail latency, load, power, batch IPS).
+//!
+//! # Arrival generator and event loop
+//!
+//! An open-loop interval runs as two parts: an arrival generator that
+//! draws the interval's arrival events, burst sizes and request demands
+//! (`arrivals.rs`), and the event loop that serves them on the node. The
+//! loop still draws each request's straggle and hedge on its own stream,
+//! in request order. Nothing the node does feeds back into an open loop's
+//! arrivals, so the generator may run ahead of the loop on a helper thread
+//! while the loop consumes its output in chunks. Each stream is drawn in
+//! the same order either way, so the interval's outputs are bit-identical
+//! wherever the generator runs.
+//!
+//! The generator borrows a core, as a scoped helper thread that lives for
+//! one interval, only when all of these hold: the interval is open-loop;
+//! it expects at least `HELPER_MIN_REQUESTS` (4096) requests, rate ×
+//! interval length, where a spawn and join costs about 46 µs; the process
+//! may run on two or more cores; and no other engine in the process is
+//! stepping, as in the cluster tier's parallel node stage or a
+//! multi-worker fleet. Otherwise the generator runs inline, drawing each
+//! event as the loop takes it. Closed-loop intervals, whose arrivals wait
+//! on completions, always run on one thread.
 
 use hipster_platform::{
     CoreConfig, CoreId, CoreKind, EnergyMeter, Frequency, PerfCounters, Platform, PowerBreakdown,
 };
 
+use crate::arrivals::{self, ArrivalGen, Arrivals, Conduit, Site};
 use crate::costs::{ContentionModel, ReconfigCosts};
 use crate::dist::{BoundedPareto, Exponential};
 use crate::fault::{FaultPlan, FaultSpec, FaultState, HedgeSpec};
 use crate::request::{Demand, QosTarget};
 use crate::rng::{Sampler, SimRng};
-use crate::service::{ServerSpec, ServiceNode};
+use crate::service::{NodeInterval, ServerSpec, ServiceNode};
 use crate::think::ThinkPool;
 use crate::traits::{BatchProgram, ClosedLoop, LcModel, LoadPattern};
 
@@ -211,6 +234,10 @@ pub struct Engine {
     small_busy_buf: Vec<f64>,
     /// Completion times collected by the closed-loop event loop.
     completions_buf: Vec<f64>,
+    /// The chunk buffers and channels that carry the open-loop arrival
+    /// stream from a helper thread, recycled across intervals; built at the
+    /// first interval whose generator borrows a core.
+    conduit: Option<Conduit>,
     /// The run seed, kept so the fault stream can be derived lazily from
     /// its own dedicated fork without disturbing demand/arrival/jitter.
     seed: u64,
@@ -253,6 +280,31 @@ struct ReqFaults {
     cap: f64,
     straggled: u64,
     hedged: u64,
+}
+
+/// Applies the per-request straggler draw (and hedge cap) to one arriving
+/// request's demand. No-op — and crucially, zero RNG draws — when
+/// per-request stragglers are unarmed.
+#[inline]
+fn straggle(req_faults: &mut Option<ReqFaults>, mut demand: Demand) -> Demand {
+    if let Some(rf) = req_faults {
+        if rf.rng.chance(rf.prob) {
+            let drawn = match &rf.mult {
+                Some(pareto) => pareto.sample(&mut rf.rng),
+                None => rf.min,
+            };
+            rf.straggled += 1;
+            let eff = if drawn > rf.cap {
+                rf.hedged += 1;
+                rf.cap
+            } else {
+                drawn
+            };
+            demand.work *= eff;
+            demand.mem_s *= eff;
+        }
+    }
+    demand
 }
 
 impl Engine {
@@ -306,6 +358,7 @@ impl Engine {
             big_busy_buf: Vec::new(),
             small_busy_buf: Vec::new(),
             completions_buf: Vec::new(),
+            conduit: None,
             seed,
             faults: None,
             external_fault: FaultState::Healthy,
@@ -342,9 +395,13 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// Panics if `seconds` is not strictly positive.
+    /// Panics if `seconds` is not strictly positive and finite, the check
+    /// [`EngineSpec::validate`](crate::EngineSpec::validate) makes.
     pub fn with_interval(mut self, seconds: f64) -> Self {
-        assert!(seconds > 0.0, "interval must be positive");
+        assert!(
+            seconds.is_finite() && seconds > 0.0,
+            "monitoring interval must be positive, got {seconds}"
+        );
         self.interval_s = seconds;
         self
     }
@@ -442,31 +499,6 @@ impl Engine {
         self.req_faults.as_ref().map_or(0, |rf| rf.hedged)
     }
 
-    /// Applies the per-request straggler draw (and hedge cap) to one
-    /// arriving request's demand. No-op — and crucially, zero RNG draws —
-    /// when per-request stragglers are unarmed.
-    #[inline]
-    fn straggle_demand(&mut self, mut demand: Demand) -> Demand {
-        if let Some(rf) = self.req_faults.as_mut() {
-            if rf.rng.chance(rf.prob) {
-                let drawn = match &rf.mult {
-                    Some(pareto) => pareto.sample(&mut rf.rng),
-                    None => rf.min,
-                };
-                rf.straggled += 1;
-                let eff = if drawn > rf.cap {
-                    rf.hedged += 1;
-                    rf.cap
-                } else {
-                    drawn
-                };
-                demand.work *= eff;
-                demand.mem_s *= eff;
-            }
-        }
-        demand
-    }
-
     /// Imposes a machine-wide fault condition from outside for subsequent
     /// intervals — the cluster tier's hook for revoking or slowing whole
     /// nodes. Combines with any per-core [`Engine::with_faults`] plan
@@ -534,8 +566,15 @@ impl Engine {
     /// # Panics
     ///
     /// Panics if `cfg` is invalid for the platform or allocates zero cores
-    /// to the latency-critical workload.
+    /// to the latency-critical workload, and with the model's own payload
+    /// if the model panics, also when it panics on a helper thread.
     pub fn step(&mut self, cfg: MachineConfig) -> IntervalStats {
+        self.step_with(cfg, None)
+    }
+
+    /// [`Engine::step`], with the arrival generator at `site` when given
+    /// (the tests run both sites) and where the gate puts it otherwise.
+    fn step_with(&mut self, cfg: MachineConfig, site: Option<Site>) -> IntervalStats {
         self.platform
             .validate(&CoreConfig::new(
                 cfg.lc.n_big,
@@ -683,9 +722,12 @@ impl Engine {
         let t_end = self.now + self.interval_s;
         let frac = self.load.load_at(self.now).max(0.0);
         let rate = frac * self.lc_max_load_rps;
+        // The interval stays registered as stepping until this step returns.
+        let (gated, _stepping) =
+            arrivals::choose_site(self.lc_closed_loop.is_none(), rate * self.interval_s);
         self.pending_kick = match self.lc_closed_loop {
             Some(cl) => self.run_events_closed(t_end, frac, kick_at, cl),
-            None => self.run_events(t_end, rate, kick_at),
+            None => self.run_events(t_end, rate, kick_at, site.unwrap_or(gated)),
         };
 
         let node_iv = self.node.end_interval(t_end, self.lc_qos.percentile);
@@ -755,66 +797,42 @@ impl Engine {
         s.max(1.0)
     }
 
-    /// Open-loop event loop up to `t_end`. Returns the kick still owed
-    /// when `kick_at` falls at or after `t_end`.
-    fn run_events(&mut self, t_end: f64, rate: f64, mut kick_at: Option<f64>) -> Option<f64> {
+    /// Open-loop interval up to `t_end`: an arrival generator draws the
+    /// interval's arrival stream and [`event_loop`] serves it, with the
+    /// generator at `site` (inline, drawing each event as the loop takes
+    /// it, or on a scoped helper thread up to three chunks ahead; see the
+    /// module docs for the gate). The generator draws gaps, bursts and
+    /// demands in one order at either site, so both give the same bits.
+    /// Returns the kick still owed when `kick_at` falls at or after
+    /// `t_end`.
+    fn run_events(
+        &mut self,
+        t_end: f64,
+        rate: f64,
+        kick_at: Option<f64>,
+        site: Site,
+    ) -> Option<f64> {
         // Arrival *events* carry bursts of requests; thin the event rate so
         // the request rate equals the offered load. The distribution is
         // cached across intervals and only rebuilt when the offered load
         // actually changes.
         let event_rate = rate / self.lc_mean_burst;
-        let iat = if event_rate > 0.0 {
-            Some(cached_exp(&mut self.iat_cache, event_rate))
-        } else {
-            None
-        };
-        let mut next_arrival = iat
-            .as_ref()
-            .map(|d| self.now + d.sample(&mut self.arrival_rng));
-        loop {
-            let tc = self.node.next_completion();
-            // Earliest of: completion, arrival, kick — within the interval.
-            let mut t = t_end;
-            let mut what = 0u8; // 0 = end, 1 = completion, 2 = arrival, 3 = kick
-            if let Some(x) = tc {
-                if x < t {
-                    t = x;
-                    what = 1;
-                }
-            }
-            if let Some(x) = next_arrival {
-                if x < t {
-                    t = x;
-                    what = 2;
-                }
-            }
-            if let Some(x) = kick_at {
-                if x < t {
-                    t = x;
-                    what = 3;
-                }
-            }
-            self.node.advance(t);
-            match what {
-                0 => break,
-                1 => {} // advance() already completed it
-                2 => {
-                    let burst = self.lc.sample_burst(&mut self.demand_rng).max(1);
-                    for _ in 0..burst {
-                        let demand = self.lc.sample_demand(&mut self.demand_rng);
-                        let demand = self.straggle_demand(demand);
-                        self.node.arrive(t, demand);
-                    }
-                    next_arrival = iat.as_ref().map(|d| t + d.sample(&mut self.arrival_rng));
-                }
-                3 => {
-                    self.node.kick(t);
-                    kick_at = None;
-                }
-                _ => unreachable!(),
-            }
+        let iat = (event_rate > 0.0).then(|| cached_exp(&mut self.iat_cache, event_rate));
+        let mut gen = ArrivalGen::new(
+            &mut *self.lc,
+            &mut self.demand_rng,
+            &mut self.arrival_rng,
+            iat,
+            self.now,
+            t_end,
+        );
+        let (node, req_faults) = (&mut self.node, &mut self.req_faults);
+        match site {
+            Site::Inline => event_loop(node, req_faults, &mut gen, t_end, kick_at),
+            Site::Helper => arrivals::relay(gen, &mut self.conduit, |relay| {
+                event_loop(node, req_faults, relay, t_end, kick_at)
+            }),
         }
-        kick_at
     }
 
     /// Closed-loop event loop: a population of `frac × max_clients` clients
@@ -885,7 +903,7 @@ impl Engine {
                 2 => {
                     self.thinking.pop_min().expect("think expiry exists");
                     let demand = self.lc.sample_demand(&mut self.demand_rng);
-                    let demand = self.straggle_demand(demand);
+                    let demand = straggle(&mut self.req_faults, demand);
                     self.node.arrive(t, demand);
                 }
                 3 => {
@@ -909,7 +927,7 @@ impl Engine {
         cfg: MachineConfig,
         frac: f64,
         rate: f64,
-        node_iv: crate::service::NodeInterval,
+        node_iv: NodeInterval,
         batch_cores: &[CoreKind],
         alive_big: usize,
         alive_small: usize,
@@ -1064,6 +1082,61 @@ impl Engine {
     }
 }
 
+/// The open-loop event loop: serves `arrivals` on `node` until `t_end`,
+/// drawing each request's straggle as it arrives. Returns the kick still
+/// owed when `kick_at` falls at or after `t_end`.
+fn event_loop(
+    node: &mut ServiceNode,
+    req_faults: &mut Option<ReqFaults>,
+    arrivals: &mut impl Arrivals,
+    t_end: f64,
+    mut kick_at: Option<f64>,
+) -> Option<f64> {
+    let mut next_arrival = arrivals.peek();
+    loop {
+        let tc = node.next_completion();
+        // Earliest of: completion, arrival, kick — within the interval.
+        let mut t = t_end;
+        let mut what = 0u8; // 0 = end, 1 = completion, 2 = arrival, 3 = kick
+        if let Some(x) = tc {
+            if x < t {
+                t = x;
+                what = 1;
+            }
+        }
+        if let Some(x) = next_arrival {
+            if x < t {
+                t = x;
+                what = 2;
+            }
+        }
+        if let Some(x) = kick_at {
+            if x < t {
+                t = x;
+                what = 3;
+            }
+        }
+        node.advance(t);
+        match what {
+            0 => break,
+            1 => {} // advance() already completed it
+            2 => {
+                for _ in 0..arrivals.take_burst() {
+                    let demand = straggle(req_faults, arrivals.demand());
+                    node.arrive(t, demand);
+                }
+                next_arrival = arrivals.peek();
+            }
+            3 => {
+                node.kick(t);
+                kick_at = None;
+            }
+            _ => unreachable!(),
+        }
+    }
+    kick_at
+}
+
 /// Returns the exponential distribution for `rate`, reusing `cache` when
 /// the rate is unchanged from the previous interval (so steady-load runs
 /// construct each distribution exactly once).
@@ -1075,5 +1148,293 @@ fn cached_exp(cache: &mut Option<(f64, Exponential)>, rate: f64) -> Exponential 
             *cache = Some((rate, d));
             d
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::Cell;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::time::Duration;
+
+    use hipster_platform::Frequency;
+
+    use super::*;
+    use crate::dist::LogNormal;
+
+    /// A Memcached-like service: lognormal compute demand, a fixed memory
+    /// part, geometric bursts, an optional client timeout, and a demand
+    /// draw that can be told to panic.
+    #[derive(Debug)]
+    struct Service {
+        max_rps: f64,
+        burst_mean: f64,
+        timeout: Option<f64>,
+        panic_at: Option<u64>,
+        drawn: Cell<u64>,
+    }
+
+    fn service(max_rps: f64, burst_mean: f64) -> Service {
+        Service {
+            max_rps,
+            burst_mean,
+            timeout: None,
+            panic_at: None,
+            drawn: Cell::new(0),
+        }
+    }
+
+    impl LcModel for Service {
+        fn name(&self) -> &str {
+            "service"
+        }
+        fn max_load_rps(&self) -> f64 {
+            self.max_rps
+        }
+        fn qos(&self) -> QosTarget {
+            QosTarget::new(0.95, 0.005)
+        }
+        fn sample_demand(&self, rng: &mut SimRng) -> Demand {
+            let k = self.drawn.get() + 1;
+            self.drawn.set(k);
+            if self.panic_at == Some(k) {
+                panic!("service model fails on demand draw {k}");
+            }
+            Demand::new(LogNormal::from_median(50.0, 0.6).sample(rng), 20e-6)
+        }
+        fn service_speed(&self, kind: CoreKind, freq: Frequency) -> f64 {
+            let scale = freq.ratio_to(Frequency::from_mhz(1150));
+            match kind {
+                CoreKind::Big => 1.0e6 * scale,
+                CoreKind::Small => 0.4e6 * scale,
+            }
+        }
+        fn sample_burst(&self, rng: &mut SimRng) -> usize {
+            if self.burst_mean <= 1.0 {
+                return 1;
+            }
+            let u = 1.0 - rng.uniform();
+            1 + (u.ln() / (1.0 - 1.0 / self.burst_mean).ln()).floor() as usize
+        }
+        fn mean_burst(&self) -> f64 {
+            self.burst_mean.max(1.0)
+        }
+        fn timeout_s(&self) -> Option<f64> {
+            self.timeout
+        }
+    }
+
+    /// Load fraction `fracs[k % len]` for interval `k` of `interval_s`.
+    #[derive(Debug)]
+    struct Schedule {
+        interval_s: f64,
+        fracs: Vec<f64>,
+    }
+
+    impl LoadPattern for Schedule {
+        fn load_at(&self, t: f64) -> f64 {
+            self.fracs[(t / self.interval_s).round() as usize % self.fracs.len()]
+        }
+        fn duration(&self) -> f64 {
+            f64::INFINITY
+        }
+    }
+
+    fn cfg(label: &str) -> MachineConfig {
+        MachineConfig::interactive(&Platform::juno_r1(), label.parse().unwrap())
+    }
+
+    /// What one engine did over a differential arm.
+    #[derive(Debug, PartialEq)]
+    struct Run {
+        stats: Vec<IntervalStats>,
+        straggles: u64,
+        hedges: u64,
+        /// `Engine::fault_core_intervals`: (revoked, straggling).
+        fault_core_intervals: (u64, u64),
+        migrations: u64,
+        /// Whether a stall's kick was ever carried across a boundary.
+        kick_carried: bool,
+    }
+
+    /// One differential arm: how to build its engine, the configurations
+    /// to step through, a hook run before each step, and a check that the
+    /// run exercised what the arm is named after.
+    struct Arm {
+        name: &'static str,
+        build: fn() -> Engine,
+        configs: &'static [&'static str],
+        intervals: usize,
+        before: fn(&mut Engine, usize),
+        exercised: fn(&Run) -> bool,
+    }
+
+    /// Steps one engine per generator site (forced inline, forced helper,
+    /// and wherever the gate puts it) through the same configurations.
+    fn run_sites(arm: &Arm) -> [Run; 3] {
+        [Some(Site::Inline), Some(Site::Helper), None].map(|site| {
+            let mut engine = (arm.build)();
+            let mut kick_carried = false;
+            let stats = (0..arm.intervals)
+                .map(|k| {
+                    (arm.before)(&mut engine, k);
+                    let c = cfg(arm.configs[k % arm.configs.len()]);
+                    let s = engine.step_with(c, site);
+                    kick_carried |= engine.pending_kick.is_some();
+                    s
+                })
+                .collect();
+            Run {
+                stats,
+                straggles: engine.request_straggles(),
+                hedges: engine.hedged_requests(),
+                fault_core_intervals: engine.fault_core_intervals(),
+                migrations: engine.total_migrations(),
+                kick_carried,
+            }
+        })
+    }
+
+    fn engine(lc: Service, fracs: &[f64], interval_s: f64, seed: u64) -> Engine {
+        let load = Schedule {
+            interval_s,
+            fracs: fracs.to_vec(),
+        };
+        Engine::new(Platform::juno_r1(), Box::new(lc), Box::new(load), seed)
+            .with_interval(interval_s)
+    }
+
+    fn no_hook(_: &mut Engine, _: usize) {}
+
+    const ARMS: [Arm; 7] = [
+        Arm {
+            name: "bursts, DVFS changes and remaps",
+            // Half-second intervals at 0.6 and 0.8 reach the gate's
+            // threshold, so the gated engine mixes both sites.
+            build: || engine(service(20_000.0, 10.0), &[0.6, 0.3, 0.8], 0.5, 1),
+            configs: &["2B-1.15", "2B-0.90", "1B2S-1.15", "2B4S-1.15"],
+            intervals: 12,
+            before: no_hook,
+            exercised: |r| r.migrations > 0,
+        },
+        Arm {
+            name: "bursts that straddle chunks",
+            build: || engine(service(100_000.0, 300.0), &[0.5], 0.1, 2),
+            configs: &["2B4S-1.15"],
+            intervals: 8,
+            before: no_hook,
+            exercised: |r| r.stats.iter().any(|s| s.arrivals > 512),
+        },
+        Arm {
+            name: "overload with timeouts",
+            build: || {
+                let lc = Service {
+                    timeout: Some(0.002),
+                    ..service(20_000.0, 10.0)
+                };
+                engine(lc, &[1.6], 0.1, 3)
+            },
+            configs: &["1S-0.65", "2S-0.65"],
+            intervals: 8,
+            before: no_hook,
+            exercised: |r| r.stats.iter().any(|s| s.timeouts > 0),
+        },
+        Arm {
+            name: "per-request stragglers with hedging",
+            build: || {
+                engine(service(20_000.0, 4.0), &[0.6], 0.1, 4)
+                    .with_faults(FaultSpec::none().with_request_stragglers(0.05, 1.2, 2.0, 40.0))
+                    .with_hedging(HedgeSpec::after(3.0))
+            },
+            configs: &["2B-1.15"],
+            intervals: 8,
+            before: no_hook,
+            exercised: |r| r.straggles > 0 && r.hedges > 0,
+        },
+        Arm {
+            name: "a preempting remap whose stall outlives a 20 ms interval",
+            build: || {
+                engine(service(20_000.0, 10.0), &[0.9], 0.02, 5)
+                    .with_costs(ReconfigCosts::juno_defaults())
+            },
+            configs: &["2B-1.15", "2B-1.15", "4S-0.65", "4S-0.65"],
+            intervals: 16,
+            before: no_hook,
+            exercised: |r| r.kick_carried,
+        },
+        Arm {
+            name: "per-core faults and revocation",
+            build: || {
+                let faults = FaultSpec::none()
+                    .with_revocations(3.0, 0.2)
+                    .with_stragglers(3.0, 0.2, 1.5, 1.5, 4.0);
+                engine(service(20_000.0, 10.0), &[0.5], 0.1, 6).with_faults(faults)
+            },
+            configs: &["2B4S-1.15"],
+            intervals: 12,
+            before: |e, k| {
+                // Intervals 4 and 5 lose the whole node.
+                e.set_external_fault(match k {
+                    4 | 5 => FaultState::Revoked { warned: false },
+                    _ => FaultState::Healthy,
+                });
+            },
+            exercised: |r| r.fault_core_intervals.0 > 0 && r.fault_core_intervals.1 > 0,
+        },
+        Arm {
+            name: "zero-load intervals",
+            build: || engine(service(20_000.0, 10.0), &[0.0, 0.7, 0.0, 0.0, 0.4], 0.1, 7),
+            configs: &["2B-1.15"],
+            intervals: 10,
+            before: no_hook,
+            exercised: |r| r.stats.iter().any(|s| s.arrivals == 0),
+        },
+    ];
+
+    #[test]
+    fn generator_sites_step_identical_intervals() {
+        for arm in &ARMS {
+            let [inline, helper, gated] = run_sites(arm);
+            assert!(helper == inline, "{}: helper differs from inline", arm.name);
+            assert!(gated == inline, "{}: gated differs from inline", arm.name);
+            assert!(inline.stats.iter().any(|s| s.arrivals > 0), "{}", arm.name);
+            assert!((arm.exercised)(&inline), "{} is not exercised", arm.name);
+        }
+    }
+
+    #[test]
+    fn a_model_panic_surfaces_from_step_with_its_own_message() {
+        for site in [Site::Inline, Site::Helper] {
+            let lc = Service {
+                panic_at: Some(5_000),
+                ..service(20_000.0, 10.0)
+            };
+            let mut e = engine(lc, &[0.5], 1.0, 8);
+            // Step on a thread of its own, so that a blocked hand-off fails
+            // the test instead of hanging it. `step` returning at all means
+            // its scope joined the helper, which then waits on no channel.
+            let (tx, rx) = std::sync::mpsc::channel();
+            let runner = std::thread::spawn(move || {
+                let caught =
+                    catch_unwind(AssertUnwindSafe(|| e.step_with(cfg("2B-1.15"), Some(site))));
+                let payload = caught.expect_err("demand draw 5000 panics");
+                let msg = payload
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .unwrap_or_default();
+                tx.send(msg).unwrap();
+            });
+            let msg = rx
+                .recv_timeout(Duration::from_secs(120))
+                .expect("step returns instead of blocking");
+            runner.join().unwrap();
+            assert_eq!(msg, "service model fails on demand draw 5000", "{site:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "monitoring interval must be positive, got inf")]
+    fn an_infinite_interval_is_rejected() {
+        let _ = engine(service(1000.0, 1.0), &[0.5], 1.0, 9).with_interval(f64::INFINITY);
     }
 }

@@ -61,6 +61,7 @@
 pub mod dist;
 pub mod reference;
 
+mod arrivals;
 mod calendar;
 mod config;
 mod costs;

@@ -12,6 +12,17 @@ use crate::rng::SimRng;
 /// 2. the per-request service demand distribution, and
 /// 3. how fast each core class retires the demand's compute part at a given
 ///    frequency (`service_speed`, in work units per second).
+///
+/// # Threads
+///
+/// In an open loop the engine may draw an interval's bursts and demands on
+/// a helper thread while its event loop serves them. For that interval the
+/// helper has exclusive `&mut` access to the model, which the `Send` bound
+/// already allows (no `Sync` is needed), and calls
+/// [`LcModel::sample_burst`] and [`LcModel::sample_demand`] from there. So
+/// those two must draw only from the `rng` passed in: a model that kept
+/// its own randomness, or read thread-local state, would give different
+/// bits depending on where the draws ran.
 pub trait LcModel: std::fmt::Debug + Send {
     /// Workload name as the paper spells it (e.g. `Memcached`).
     fn name(&self) -> &str;

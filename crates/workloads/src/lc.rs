@@ -29,6 +29,8 @@ pub struct LcWorkload {
     small_ipc_penalty: f64,
     /// Mean geometric burst size (1 = Poisson arrivals).
     burst_mean: f64,
+    /// `ln(1 - 1/burst_mean)`, the geometric draw's divisor, computed once.
+    burst_ln_q: f64,
     /// Closed-loop client population, or `None` for open-loop arrivals.
     closed_loop: Option<ClosedLoop>,
     /// Client-side request timeout, seconds.
@@ -92,9 +94,8 @@ impl LcModel for LcWorkload {
             return 1;
         }
         // Geometric on {1, 2, ...} with mean `burst_mean`.
-        let p = 1.0 / self.burst_mean;
         let u = 1.0 - rng.uniform(); // (0, 1]
-        1 + (u.ln() / (1.0 - p).ln()).floor() as usize
+        1 + (u.ln() / self.burst_ln_q).floor() as usize
     }
 
     fn mean_burst(&self) -> f64 {
@@ -232,6 +233,7 @@ impl LcWorkloadBuilder {
             big_anchor: self.big_anchor,
             small_ipc_penalty: self.small_ipc_penalty,
             burst_mean: self.burst_mean,
+            burst_ln_q: (1.0 - 1.0 / self.burst_mean).ln(),
             closed_loop: self.closed_loop,
             timeout_s: self.timeout_s,
         }
@@ -305,6 +307,22 @@ mod tests {
         let mean: f64 = (0..n).map(|_| w.sample_burst(&mut rng) as f64).sum::<f64>() / n as f64;
         assert!((mean - 4.0).abs() < 0.1, "burst mean {mean}");
         assert_eq!(w.mean_burst(), 4.0);
+    }
+
+    #[test]
+    fn burst_draws_match_the_per_draw_formula_bit_for_bit() {
+        // The pre-computed `ln(1 - 1/mean)` must leave every burst exactly
+        // where computing it per draw put it.
+        for mean in [1.5, 4.0, 10.0, 20.0] {
+            let w = LcWorkload::builder("x").burst_mean(mean).build();
+            let (mut rng, mut old) = (SimRng::seed(4), SimRng::seed(4));
+            for _ in 0..10_000 {
+                let p = 1.0 / mean;
+                let u = 1.0 - old.uniform();
+                let want = 1 + (u.ln() / (1.0 - p).ln()).floor() as usize;
+                assert_eq!(w.sample_burst(&mut rng), want, "mean {mean}");
+            }
+        }
     }
 
     #[test]
