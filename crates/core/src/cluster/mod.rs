@@ -1515,22 +1515,22 @@ mod tests {
             (
                 DispatchPolicy::Random,
                 (0x0d8f_1ed5_bee6_3fa0, 57),
-                (0xd9ce_a04f_05c9_f597, 795),
+                (0xf445_0773_e430_4085, 796),
             ),
             (
                 DispatchPolicy::RoundRobin,
                 (0x6462_1d43_0900_cdc5, 57),
-                (0xb280_3076_a504_e842, 789),
+                (0xdc92_05cb_5939_0273, 792),
             ),
             (
                 DispatchPolicy::LeastLoaded,
-                (0x65b3_78d3_5e32_a287, 57),
-                (0xc31c_722f_417d_6966, 786),
+                (0xe8dc_959b_d4d6_0c45, 57),
+                (0x4cd6_9026_b39b_6e02, 788),
             ),
             (
                 DispatchPolicy::PowerOfTwo,
-                (0x5258_7d5b_cec7_1227, 57),
-                (0xb4ed_52bf_6526_77c1, 786),
+                (0x837f_4f0c_aa1b_3502, 57),
+                (0x06b0_0264_49fa_e1d6, 778),
             ),
         ];
         for (policy, plain_pin, mitigated_pin) in pins {

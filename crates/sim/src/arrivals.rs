@@ -48,14 +48,16 @@ const CHUNKS_IN_FLIGHT: usize = 4;
 
 /// Fewest expected requests (offered rate × interval) for which an
 /// interval's generator earns a helper thread. On a 2-core x86-64 host a
-/// scoped spawn and join costs about 46 µs, and moving the draws off the
-/// loop saves about 20 ns of the loop's 70 ns per request on the Juno, so
-/// the helper repays its spawn after about 2300 requests; the threshold
-/// leaves room for hand-off waits. One Juno node at 1 s intervals clears it
-/// from about 11% of Memcached's 36k RPS maximum load. A cluster node at
-/// 50 ms intervals needs more than twice its maximum load, which only the
-/// overloaded survivors of a zone wave reach, inside a node stage that
-/// already fills the cores.
+/// scoped spawn and join costs 31–37 µs, and with the ziggurat normal
+/// moving the draws off the loop saves about 6.5 ns of the loop's 53 ns
+/// per request on the Juno, so the helper repays its spawn after about
+/// 5000 requests. An interval just under that loses a few microseconds at
+/// most, and 8192 read within noise of this value on the Juno and the
+/// sweep; outputs are bit-identical at any value. One Juno node at 1 s
+/// intervals clears it from about 11% of Memcached's 36k RPS maximum
+/// load. A cluster node at 50 ms intervals needs more than twice its
+/// maximum load, which only the overloaded survivors of a zone wave reach,
+/// inside a node stage that already fills the cores.
 const HELPER_MIN_REQUESTS: f64 = 4096.0;
 
 /// Engines in this process now stepping an interval. Each step adds and

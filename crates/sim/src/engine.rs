@@ -30,7 +30,7 @@ use hipster_platform::{
 
 use crate::arrivals::{self, ArrivalGen, Arrivals, Conduit, Site};
 use crate::costs::{ContentionModel, ReconfigCosts};
-use crate::dist::{BoundedPareto, Exponential};
+use crate::dist::{self, BoundedPareto, Exponential};
 use crate::fault::{FaultPlan, FaultSpec, FaultState, HedgeSpec};
 use crate::request::{Demand, QosTarget};
 use crate::rng::{Sampler, SimRng};
@@ -787,12 +787,9 @@ impl Engine {
             s *= self.costs.cold_cache_penalty;
         }
         if self.jitter_sigma > 0.0 {
-            // Box–Muller draw for the interval's interference factor;
-            // interference only ever slows service down.
-            let u1 = 1.0 - self.jitter_rng.uniform();
-            let u2 = self.jitter_rng.uniform();
-            let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-            s *= (self.jitter_sigma * z).exp();
+            // Lognormal interference factor for the interval; interference
+            // only ever slows service down.
+            s *= (self.jitter_sigma * dist::standard_normal(&mut self.jitter_rng)).exp();
         }
         s.max(1.0)
     }

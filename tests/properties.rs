@@ -3,7 +3,7 @@
 
 use hipster::core::{LoadBuckets, QTable};
 use hipster::platform::{power_ladder, stress_power, CoreConfig, CoreKind, Frequency, Platform};
-use hipster::sim::dist::{BoundedPareto, Exponential, LogNormal, Zipf};
+use hipster::sim::dist::{BoundedPareto, Exponential, LogNormal, Normal, Zipf};
 use hipster::sim::{percentile, P2Quantile, Sampler, SimRng};
 use proptest::prelude::*;
 
@@ -160,6 +160,19 @@ proptest! {
         let mut rng = SimRng::seed(seed);
         for _ in 0..50 {
             prop_assert!(d.sample(&mut rng) > 0.0);
+        }
+    }
+
+    #[test]
+    fn normal_samples_finite(
+        mean in -1e6f64..1e6,
+        std_dev in 0.0f64..1e6,
+        seed in proptest::arbitrary::any::<u64>(),
+    ) {
+        let d = Normal::new(mean, std_dev);
+        let mut rng = SimRng::seed(seed);
+        for _ in 0..200 {
+            prop_assert!(d.sample(&mut rng).is_finite());
         }
     }
 
