@@ -19,9 +19,9 @@ use std::path::Path;
 use std::sync::Mutex;
 
 use hipster_core::cluster::{ClusterOutcome, ClusterSpec, DispatchPolicy, OverflowSpec};
-use hipster_core::store::json::JsonObj;
 use hipster_core::{run_tasks, CellJournal, ClusterSummary};
 use hipster_platform::Platform;
+use hipster_sim::json::JsonObj;
 use hipster_workloads::{memcached_bursty, MmppLoad};
 
 use crate::runner::Workload;

@@ -38,9 +38,9 @@ use std::path::Path;
 use std::sync::Mutex;
 
 use hipster_core::cluster::{AdmissionSpec, ClusterSpec, DispatchPolicy, OverflowSpec, RetrySpec};
-use hipster_core::store::json::JsonObj;
 use hipster_core::{run_tasks, BatchDeadline, CellJournal, ClusterSummary};
 use hipster_platform::Platform;
+use hipster_sim::json::JsonObj;
 use hipster_sim::{BatchProgram, FaultSpec, HedgeSpec, TopologySpec};
 use hipster_workloads::{domain_fault_preset, fault_preset, preset, MmppLoad};
 

@@ -3,7 +3,7 @@
 //! private-tier energy, cloud dollars, and spill accounting.
 
 use crate::scenario::BatchDeadline;
-use crate::store::json::JsonObj;
+use hipster_sim::json::JsonObj;
 use hipster_sim::{percentile, QosTarget};
 
 /// One monitoring interval aggregated across every node in the cluster.

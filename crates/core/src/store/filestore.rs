@@ -36,9 +36,9 @@ use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
+use hipster_sim::json::JsonObj;
 use hipster_sim::{interval_from_jsonl, interval_to_jsonl, QosTarget};
 
-use super::json::JsonObj;
 use super::{QuarantineRecord, StoreError, SweepRecord, SweepStore};
 
 fn io_err(context: &str) -> impl FnOnce(std::io::Error) -> StoreError + '_ {

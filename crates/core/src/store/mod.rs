@@ -25,7 +25,6 @@
 //! instead of poisoning the sweep.
 
 mod filestore;
-pub mod json;
 
 pub use filestore::{CellJournal, FileStore};
 

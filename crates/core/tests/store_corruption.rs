@@ -12,12 +12,12 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use hipster_core::store::json::JsonObj;
 use hipster_core::{
     CellJournal, FileStore, Policy, QuarantineRecord, ScenarioSpec, StaticPolicy, SweepRecord,
     SweepStore,
 };
 use hipster_platform::Platform;
+use hipster_sim::json::JsonObj;
 use hipster_workloads::{memcached, Constant};
 
 fn scratch(tag: &str) -> PathBuf {

@@ -197,8 +197,7 @@ pub struct Engine {
     cold_this_interval: bool,
     total_migrations: u64,
     power_override: Option<hipster_platform::PowerModel>,
-    /// Closed-loop clients currently thinking (calendar queue of expiry
-    /// times).
+    /// Closed-loop clients currently thinking (min-heap of expiry times).
     thinking: ThinkPool,
     /// The kick of a reconfiguration stall that outlived the last
     /// interval: servers stay stalled past the boundary, so work that
@@ -838,10 +837,10 @@ impl Engine {
     /// are retired from the thinking pool (in-flight requests complete
     /// normally).
     ///
-    /// The pool is a calendar queue ([`ThinkPool`]): each think expiry is
-    /// an O(1) amortized bucket pop instead of an O(clients) scan, and
-    /// population shrink is one selection pass per boundary. Clients are
-    /// indistinguishable, so the calendar pool reproduces the scan-based
+    /// The pool is a binary min-heap ([`ThinkPool`]): each think expiry is
+    /// an O(log clients) pop instead of an O(clients) scan, and population
+    /// shrink is one selection pass per boundary. Clients are
+    /// indistinguishable, so the heap pool reproduces the scan-based
     /// traces bit-for-bit. Returns the kick still owed, as
     /// [`Engine::run_events`] does.
     fn run_events_closed(

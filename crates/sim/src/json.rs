@@ -1,9 +1,9 @@
-//! Flat JSON-lines helpers for the sweep store: a tiny builder/parser
-//! pair over one-line objects of numbers, booleans, strings and number
-//! arrays — the same restricted grammar as
-//! [`hipster_sim::interval_to_jsonl`], extended with string values (cell
-//! names, seeds, panic messages) because the build environment vendors no
-//! JSON dependency.
+//! Flat JSON-lines codec: a tiny builder/parser pair over one-line
+//! objects of numbers, booleans, strings and number arrays, because the
+//! build environment vendors no JSON dependency. It is the one codec
+//! behind both the interval telemetry lines
+//! ([`interval_to_jsonl`](crate::interval_to_jsonl)) and the sweep
+//! store's journal in `hipster-core` (cell names, seeds, panic messages).
 //!
 //! Determinism contract: [`JsonObj::render`] writes fields in insertion
 //! order with Rust's shortest-round-trip `f64` formatting, so equal
@@ -133,49 +133,16 @@ impl JsonObj {
 
     /// Renders the object as a single JSON line (no trailing newline).
     pub fn render(&self) -> String {
-        let mut out = String::with_capacity(128);
-        out.push('{');
-        for (i, (k, v)) in self.fields.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            escape_into(&mut out, k);
-            out.push_str("\":");
+        let mut w = ObjWriter::with_capacity(128);
+        for (k, v) in &self.fields {
             match v {
-                JsonValue::Num(x) => {
-                    if x.is_finite() {
-                        let _ = write!(out, "{x}");
-                    } else {
-                        out.push_str("null");
-                    }
-                }
-                JsonValue::Bool(b) => {
-                    let _ = write!(out, "{b}");
-                }
-                JsonValue::Str(s) => {
-                    out.push('"');
-                    escape_into(&mut out, s);
-                    out.push('"');
-                }
-                JsonValue::Arr(xs) => {
-                    out.push('[');
-                    for (j, x) in xs.iter().enumerate() {
-                        if j > 0 {
-                            out.push(',');
-                        }
-                        if x.is_finite() {
-                            let _ = write!(out, "{x}");
-                        } else {
-                            out.push_str("null");
-                        }
-                    }
-                    out.push(']');
-                }
+                JsonValue::Num(x) => w.num(k, *x),
+                JsonValue::Bool(b) => w.bool(k, *b),
+                JsonValue::Str(s) => w.str(k, s),
+                JsonValue::Arr(xs) => w.arr(k, xs),
             }
         }
-        out.push('}');
-        out
+        w.finish()
     }
 
     /// Parses one line of the flat grammar. Returns `None` on malformed
@@ -206,6 +173,84 @@ impl JsonObj {
         }
         p.skip_ws();
         (p.pos == p.bytes.len()).then_some(JsonObj { fields })
+    }
+}
+
+/// Writes one flat object field by field, with no intermediate
+/// [`JsonObj`]: the one key, number, `null` and array formatter behind
+/// both [`JsonObj::render`] and
+/// [`interval_to_jsonl`](crate::interval_to_jsonl).
+pub(crate) struct ObjWriter {
+    out: String,
+}
+
+impl ObjWriter {
+    /// Opens an object in a buffer of `capacity` bytes.
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
+        let mut out = String::with_capacity(capacity);
+        out.push('{');
+        ObjWriter { out }
+    }
+
+    /// Writes `"key":`, preceded by a comma unless it is the first field
+    /// (the buffer then holds only the opening brace).
+    fn key(&mut self, key: &str) {
+        if self.out.len() > 1 {
+            self.out.push(',');
+        }
+        self.out.push('"');
+        escape_into(&mut self.out, key);
+        self.out.push_str("\":");
+    }
+
+    /// A number field; non-finite values render as `null`.
+    pub(crate) fn num(&mut self, key: &str, x: f64) {
+        self.key(key);
+        push_num(&mut self.out, x);
+    }
+
+    /// A boolean field.
+    pub(crate) fn bool(&mut self, key: &str, b: bool) {
+        self.key(key);
+        self.out.push_str(if b { "true" } else { "false" });
+    }
+
+    /// A string field (escaped).
+    pub(crate) fn str(&mut self, key: &str, s: &str) {
+        self.key(key);
+        self.out.push('"');
+        escape_into(&mut self.out, s);
+        self.out.push('"');
+    }
+
+    /// A number-array field; non-finite elements render as `null`.
+    pub(crate) fn arr(&mut self, key: &str, xs: &[f64]) {
+        self.key(key);
+        self.out.push('[');
+        for (i, &x) in xs.iter().enumerate() {
+            if i > 0 {
+                self.out.push(',');
+            }
+            push_num(&mut self.out, x);
+        }
+        self.out.push(']');
+    }
+
+    /// Closes the object and returns the line (no trailing newline).
+    pub(crate) fn finish(mut self) -> String {
+        self.out.push('}');
+        self.out
+    }
+}
+
+/// Shortest-round-trip `f64` formatting; `Display` would print `NaN` or
+/// `inf`, which is not JSON, so non-finite values write `null` (and parse
+/// back as NaN).
+fn push_num(out: &mut String, x: f64) {
+    if x.is_finite() {
+        let _ = write!(out, "{x}");
+    } else {
+        out.push_str("null");
     }
 }
 

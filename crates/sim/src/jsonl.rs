@@ -5,14 +5,13 @@
 //! Numbers are written with Rust's shortest-round-trip `f64` formatting,
 //! so `parse → serialize` reproduces the original line byte for byte; the
 //! reverse direction (`serialize → parse`) recovers every field exactly.
-//! The module carries its own minimal parser because the build environment
-//! vendors no JSON dependency — the grammar is restricted to what
-//! [`interval_to_jsonl`] emits (flat objects of numbers, booleans and
-//! number arrays).
+//! Lines are written and read through the crate's flat-JSON codec
+//! ([`crate::json`]), the same one the sweep store's journal uses.
 
 use hipster_platform::{CoreConfig, Frequency, PowerBreakdown};
 
 use crate::engine::{IntervalStats, MachineConfig};
+use crate::json::{JsonObj, ObjWriter};
 
 /// Serializes one interval as a single JSON line (no trailing newline).
 ///
@@ -21,52 +20,36 @@ use crate::engine::{IntervalStats, MachineConfig};
 /// could) serialize as `null` and parse back as NaN, keeping every emitted
 /// line valid JSON.
 pub fn interval_to_jsonl(s: &IntervalStats) -> String {
-    let mut out = String::with_capacity(512);
-    out.push('{');
-    push_num(&mut out, "index", s.index as f64);
-    push_num(&mut out, "start_s", s.start_s);
-    push_num(&mut out, "duration_s", s.duration_s);
-    push_num(&mut out, "n_big", s.config.lc.n_big as f64);
-    push_num(&mut out, "n_small", s.config.lc.n_small as f64);
-    push_num(
-        &mut out,
-        "lc_big_mhz",
-        f64::from(s.config.lc.big_freq.as_mhz()),
-    );
-    push_num(
-        &mut out,
-        "lc_small_mhz",
-        f64::from(s.config.lc.small_freq.as_mhz()),
-    );
-    push_num(&mut out, "big_mhz", f64::from(s.config.big_freq.as_mhz()));
-    push_num(
-        &mut out,
-        "small_mhz",
-        f64::from(s.config.small_freq.as_mhz()),
-    );
-    push_bool(&mut out, "batch_enabled", s.config.batch_enabled);
-    push_num(&mut out, "offered_load_frac", s.offered_load_frac);
-    push_num(&mut out, "offered_rps", s.offered_rps);
-    push_num(&mut out, "arrivals", s.arrivals as f64);
-    push_num(&mut out, "completions", s.completions as f64);
-    push_num(&mut out, "timeouts", s.timeouts as f64);
-    push_num(&mut out, "throughput_rps", s.throughput_rps);
-    push_num(&mut out, "tail_latency_s", s.tail_latency_s);
-    push_num(&mut out, "mean_latency_s", s.mean_latency_s);
-    push_num(&mut out, "queue_len", s.queue_len as f64);
-    push_arr(&mut out, "lc_busy", &s.lc_busy);
-    push_num(&mut out, "power_big", s.power.big);
-    push_num(&mut out, "power_small", s.power.small);
-    push_num(&mut out, "power_rest", s.power.rest);
-    push_num(&mut out, "energy_j", s.energy_j);
-    push_num(&mut out, "batch_ips_big", s.batch_ips_big);
-    push_num(&mut out, "batch_ips_small", s.batch_ips_small);
-    push_bool(&mut out, "counters_valid", s.counters_valid);
-    push_num(&mut out, "migrated_cores", s.migrated_cores as f64);
-    // Strip the trailing comma.
-    out.pop();
-    out.push('}');
-    out
+    let mut w = ObjWriter::with_capacity(512);
+    w.num("index", s.index as f64);
+    w.num("start_s", s.start_s);
+    w.num("duration_s", s.duration_s);
+    w.num("n_big", s.config.lc.n_big as f64);
+    w.num("n_small", s.config.lc.n_small as f64);
+    w.num("lc_big_mhz", f64::from(s.config.lc.big_freq.as_mhz()));
+    w.num("lc_small_mhz", f64::from(s.config.lc.small_freq.as_mhz()));
+    w.num("big_mhz", f64::from(s.config.big_freq.as_mhz()));
+    w.num("small_mhz", f64::from(s.config.small_freq.as_mhz()));
+    w.bool("batch_enabled", s.config.batch_enabled);
+    w.num("offered_load_frac", s.offered_load_frac);
+    w.num("offered_rps", s.offered_rps);
+    w.num("arrivals", s.arrivals as f64);
+    w.num("completions", s.completions as f64);
+    w.num("timeouts", s.timeouts as f64);
+    w.num("throughput_rps", s.throughput_rps);
+    w.num("tail_latency_s", s.tail_latency_s);
+    w.num("mean_latency_s", s.mean_latency_s);
+    w.num("queue_len", s.queue_len as f64);
+    w.arr("lc_busy", &s.lc_busy);
+    w.num("power_big", s.power.big);
+    w.num("power_small", s.power.small);
+    w.num("power_rest", s.power.rest);
+    w.num("energy_j", s.energy_j);
+    w.num("batch_ips_big", s.batch_ips_big);
+    w.num("batch_ips_small", s.batch_ips_small);
+    w.bool("counters_valid", s.counters_valid);
+    w.num("migrated_cores", s.migrated_cores as f64);
+    w.finish()
 }
 
 /// Parses a line produced by [`interval_to_jsonl`] back into stats.
@@ -74,35 +57,10 @@ pub fn interval_to_jsonl(s: &IntervalStats) -> String {
 /// Returns `None` on malformed JSON, a missing field, or a value of the
 /// wrong type — never panics.
 pub fn interval_from_jsonl(line: &str) -> Option<IntervalStats> {
-    let fields = parse_flat_object(line)?;
-    let num = |k: &str| -> Option<f64> {
-        fields
-            .iter()
-            .find(|(n, _)| n == k)
-            .and_then(|(_, v)| match v {
-                JsonValue::Num(x) => Some(*x),
-                _ => None,
-            })
-    };
-    let boolean = |k: &str| -> Option<bool> {
-        fields
-            .iter()
-            .find(|(n, _)| n == k)
-            .and_then(|(_, v)| match v {
-                JsonValue::Bool(b) => Some(*b),
-                _ => None,
-            })
-    };
-    let arr = |k: &str| -> Option<Vec<f64>> {
-        fields
-            .iter()
-            .find(|(n, _)| n == k)
-            .and_then(|(_, v)| match v {
-                JsonValue::Arr(xs) => Some(xs.clone()),
-                _ => None,
-            })
-    };
-    let as_usize = |x: f64| -> Option<usize> {
+    let obj = JsonObj::parse(line)?;
+    let num = |k: &str| obj.get_num(k);
+    let count = |k: &str| -> Option<usize> {
+        let x = num(k)?;
         (x.is_finite() && x >= 0.0 && x.fract() == 0.0).then_some(x as usize)
     };
     let mhz = |k: &str| -> Option<Frequency> {
@@ -112,31 +70,31 @@ pub fn interval_from_jsonl(line: &str) -> Option<IntervalStats> {
     };
 
     let lc = CoreConfig::new(
-        as_usize(num("n_big")?)?,
-        as_usize(num("n_small")?)?,
+        count("n_big")?,
+        count("n_small")?,
         mhz("lc_big_mhz")?,
         mhz("lc_small_mhz")?,
     );
     Some(IntervalStats {
-        index: as_usize(num("index")?)? as u64,
+        index: count("index")? as u64,
         start_s: num("start_s")?,
         duration_s: num("duration_s")?,
         config: MachineConfig {
             lc,
             big_freq: mhz("big_mhz")?,
             small_freq: mhz("small_mhz")?,
-            batch_enabled: boolean("batch_enabled")?,
+            batch_enabled: obj.get_bool("batch_enabled")?,
         },
         offered_load_frac: num("offered_load_frac")?,
         offered_rps: num("offered_rps")?,
-        arrivals: as_usize(num("arrivals")?)?,
-        completions: as_usize(num("completions")?)?,
-        timeouts: as_usize(num("timeouts")?)?,
+        arrivals: count("arrivals")?,
+        completions: count("completions")?,
+        timeouts: count("timeouts")?,
         throughput_rps: num("throughput_rps")?,
         tail_latency_s: num("tail_latency_s")?,
         mean_latency_s: num("mean_latency_s")?,
-        queue_len: as_usize(num("queue_len")?)?,
-        lc_busy: arr("lc_busy")?,
+        queue_len: count("queue_len")?,
+        lc_busy: obj.get_arr("lc_busy")?.to_vec(),
         power: PowerBreakdown {
             big: num("power_big")?,
             small: num("power_small")?,
@@ -145,185 +103,9 @@ pub fn interval_from_jsonl(line: &str) -> Option<IntervalStats> {
         energy_j: num("energy_j")?,
         batch_ips_big: num("batch_ips_big")?,
         batch_ips_small: num("batch_ips_small")?,
-        counters_valid: boolean("counters_valid")?,
-        migrated_cores: as_usize(num("migrated_cores")?)?,
+        counters_valid: obj.get_bool("counters_valid")?,
+        migrated_cores: count("migrated_cores")?,
     })
-}
-
-fn push_num(out: &mut String, key: &str, v: f64) {
-    use std::fmt::Write as _;
-    // Display would print `NaN`/`inf`, which is not JSON; non-finite
-    // values (never produced by the engine, but possible from custom
-    // models) serialize as `null` and parse back as NaN.
-    if v.is_finite() {
-        let _ = write!(out, "\"{key}\":{v},");
-    } else {
-        let _ = write!(out, "\"{key}\":null,");
-    }
-}
-
-fn push_bool(out: &mut String, key: &str, v: bool) {
-    use std::fmt::Write as _;
-    let _ = write!(out, "\"{key}\":{v},");
-}
-
-fn push_arr(out: &mut String, key: &str, vs: &[f64]) {
-    use std::fmt::Write as _;
-    let _ = write!(out, "\"{key}\":[");
-    for (i, v) in vs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        if v.is_finite() {
-            let _ = write!(out, "{v}");
-        } else {
-            out.push_str("null");
-        }
-    }
-    out.push_str("],");
-}
-
-/// A parsed JSON value in the flat-object grammar the sink emits.
-#[derive(Debug, Clone, PartialEq)]
-enum JsonValue {
-    Num(f64),
-    Bool(bool),
-    Arr(Vec<f64>),
-}
-
-/// Parses `{"key":value,...}` where values are numbers, booleans or arrays
-/// of numbers. Whitespace between tokens is tolerated.
-fn parse_flat_object(line: &str) -> Option<Vec<(String, JsonValue)>> {
-    let mut p = Parser {
-        bytes: line.trim().as_bytes(),
-        pos: 0,
-    };
-    p.expect(b'{')?;
-    let mut fields = Vec::new();
-    p.skip_ws();
-    if p.peek() == Some(b'}') {
-        p.pos += 1;
-    } else {
-        loop {
-            let key = p.string()?;
-            p.expect(b':')?;
-            let value = p.value()?;
-            fields.push((key, value));
-            p.skip_ws();
-            match p.next_byte()? {
-                b',' => continue,
-                b'}' => break,
-                _ => return None,
-            }
-        }
-    }
-    p.skip_ws();
-    (p.pos == p.bytes.len()).then_some(fields)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self.peek().is_some_and(|b| b.is_ascii_whitespace()) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn next_byte(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.pos += 1;
-        Some(b)
-    }
-
-    fn expect(&mut self, b: u8) -> Option<()> {
-        self.skip_ws();
-        (self.next_byte()? == b).then_some(())
-    }
-
-    fn string(&mut self) -> Option<String> {
-        self.expect(b'"')?;
-        let start = self.pos;
-        // Keys never contain escapes in this grammar.
-        while self.peek()? != b'"' {
-            self.pos += 1;
-        }
-        let s = std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()?
-            .to_owned();
-        self.pos += 1;
-        Some(s)
-    }
-
-    fn number(&mut self) -> Option<f64> {
-        self.skip_ws();
-        if self.peek() == Some(b'n') {
-            let end = self.pos + 4;
-            if self.bytes.get(self.pos..end) == Some(b"null".as_slice()) {
-                self.pos = end;
-                return Some(f64::NAN);
-            }
-            return None;
-        }
-        let start = self.pos;
-        while self
-            .peek()
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()?
-            .parse()
-            .ok()
-    }
-
-    fn value(&mut self) -> Option<JsonValue> {
-        self.skip_ws();
-        match self.peek()? {
-            b't' | b'f' => {
-                let want: &[u8] = if self.peek() == Some(b't') {
-                    b"true"
-                } else {
-                    b"false"
-                };
-                let end = self.pos + want.len();
-                if self.bytes.get(self.pos..end) == Some(want) {
-                    self.pos = end;
-                    Some(JsonValue::Bool(want == b"true"))
-                } else {
-                    None
-                }
-            }
-            b'[' => {
-                self.pos += 1;
-                let mut xs = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Some(JsonValue::Arr(xs));
-                }
-                loop {
-                    xs.push(self.number()?);
-                    self.skip_ws();
-                    match self.next_byte()? {
-                        b',' => continue,
-                        b']' => break,
-                        _ => return None,
-                    }
-                }
-                Some(JsonValue::Arr(xs))
-            }
-            _ => Some(JsonValue::Num(self.number()?)),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -389,6 +171,28 @@ mod tests {
         assert!(!line.contains('\n'));
         assert!(line.contains("\"tail_latency_s\":"));
         assert!(line.contains("\"counters_valid\":false"));
+    }
+
+    /// The exact bytes of one line: journals already on disk must stay
+    /// readable, so the wire format may not drift.
+    #[test]
+    fn line_bytes_are_pinned() {
+        let mut s = sample(2.5);
+        s.tail_latency_s = f64::NAN;
+        s.lc_busy[1] = f64::INFINITY;
+        assert_eq!(
+            interval_to_jsonl(&s),
+            concat!(
+                r#"{"index":7,"start_s":7,"duration_s":1,"n_big":2,"n_small":1,"#,
+                r#""lc_big_mhz":1150,"lc_small_mhz":650,"big_mhz":1150,"small_mhz":650,"#,
+                r#""batch_enabled":true,"offered_load_frac":0.51234,"offered_rps":18444.2,"#,
+                r#""arrivals":18551,"completions":18490,"timeouts":3,"throughput_rps":18490,"#,
+                r#""tail_latency_s":null,"mean_latency_s":0.000925925925925926,"queue_len":12,"#,
+                r#""lc_busy":[0.81,null,0.33],"power_big":1.701,"power_small":0.42,"#,
+                r#""power_rest":1.2,"energy_j":3.321,"batch_ips_big":2000000000,"#,
+                r#""batch_ips_small":825000000,"counters_valid":false,"migrated_cores":1}"#,
+            )
+        );
     }
 
     #[test]

@@ -15,8 +15,7 @@
 //! * [`LcModel`] / [`LoadPattern`] / [`BatchProgram`] — the traits the
 //!   `hipster-workloads` crate implements for Memcached, Web-Search, the
 //!   diurnal load and SPEC CPU2006 programs;
-//! * [`ThinkPool`] — closed-loop client think timers, on a calendar
-//!   queue (the crate's only calendar);
+//! * [`ThinkPool`] — closed-loop client think timers, on a binary heap;
 //! * [`Trace`] — recorded runs plus the paper's summary metrics (QoS
 //!   guarantee, tardiness, energy, migrations);
 //! * deterministic RNG ([`SimRng`]) and distributions ([`dist`]).
@@ -59,10 +58,10 @@
 #![warn(missing_debug_implementations)]
 
 pub mod dist;
+pub mod json;
 pub mod reference;
 
 mod arrivals;
-mod calendar;
 mod config;
 mod costs;
 mod engine;
@@ -84,7 +83,7 @@ pub use fault::{
     DomainFaultSpec, FaultPlan, FaultSpec, FaultSpecError, FaultState, HedgeSpec, WavePlan,
 };
 pub use jsonl::{interval_from_jsonl, interval_to_jsonl};
-pub use latency::{percentile, LatencyRecorder, P2Quantile};
+pub use latency::{percentile, LatencyRecorder};
 pub use request::{Demand, QosTarget, Request, RequestId};
 pub use rng::{Sampler, SimRng};
 pub use service::{NodeInterval, ServerSpec, ServiceNode};

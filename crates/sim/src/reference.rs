@@ -8,8 +8,8 @@
 //! drive [`ServiceNode`](crate::ServiceNode) against [`ReferenceNode`]
 //! with identical event sequences and assert bit-identical completions,
 //! timeouts and interval statistics (`tests/node_equivalence.rs`), and
-//! the calendar-backed [`ThinkPool`](crate::ThinkPool) against
-//! [`ReferenceThinkPool`] op for op (`tests/calendar_equivalence.rs`).
+//! the heap-backed [`ThinkPool`](crate::ThinkPool) against
+//! [`ReferenceThinkPool`] op for op (`tests/think_pool_equivalence.rs`).
 //!
 //! Nothing here should be used by production code paths; the oracles
 //! intentionally keep the costs of the scans.

@@ -14,33 +14,45 @@
 //! The pre-PR3 engine used a plain `Vec` with an O(n) scan for each of
 //! these, kept as the oracle
 //! [`ReferenceThinkPool`](crate::reference::ReferenceThinkPool). The pool
-//! is a calendar queue (`TimerCalendar`): clients are
-//! indistinguishable, so each entry is a bare `u64` time key. At 4096
-//! thinking clients a binary heap's pop walks ~12 cache-hostile levels per
-//! event, while the calendar's time buckets make push and pop-min O(1)
-//! amortized — think expiries are `now + Exp(think)` draws, spread over a
-//! few mean think times, exactly the regime the queue's width tracks.
-//! `retire_latest` stays one O(n) selection per interval boundary.
+//! is a binary min-heap of bare `u64` time keys: the only closed-loop
+//! preset (Web-Search) runs 96 clients, where a heap's O(log n) push and
+//! pop cost a handful of levels.
 //!
 //! Clients are indistinguishable — the pool is a multiset of expiry times
-//! ordered by [`f64::total_cmp`] — so the calendar pool reproduces the
-//! scan pool bit-identically: ties between equal expiries remove *a*
-//! client with that expiry either way, and the surviving multiset (all
-//! future behaviour depends only on it) is the same (differential
-//! battery: `tests/calendar_equivalence.rs`).
+//! ordered by [`f64::total_cmp`] — so the heap pool reproduces the scan
+//! pool bit-identically: the key map is a bijection, so equal keys are
+//! equal bits, and the surviving multiset (all future behaviour depends
+//! only on it) is the same (differential battery:
+//! `tests/think_pool_equivalence.rs`).
 
-use crate::calendar::TimerCalendar;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
-/// Calendar-queue pool of closed-loop client think-timer expiry times
-/// (seconds, absolute simulation time): O(1) amortized push/pop-min, O(1)
-/// peek, and one selection pass (not k max-scans) to retire the k latest
+/// Maps a time to a `u64` whose unsigned order equals [`f64::total_cmp`]
+/// order. Exact for every float (including negatives, zeros and NaNs),
+/// so equivalence holds under arbitrary test inputs.
+#[inline]
+fn key_of(t: f64) -> u64 {
+    let b = t.to_bits();
+    b ^ ((((b as i64) >> 63) as u64) >> 1) ^ (1u64 << 63)
+}
+
+/// Inverse of [`key_of`] (bit-exact round trip). Branchless: the xor
+/// mask is `1 << 63` when the top bit is set (positive floats) and all
+/// ones otherwise (negative floats, stored complemented).
+#[inline]
+fn time_of(key: u64) -> f64 {
+    f64::from_bits(key ^ !((((key as i64) >> 63) as u64) >> 1))
+}
+
+/// Binary min-heap pool of closed-loop client think-timer expiry times
+/// (seconds, absolute simulation time): O(log n) push/pop-min, O(1) peek,
+/// and one selection pass (not k max-scans) to retire the k latest
 /// clients. The pool is a multiset — clients are indistinguishable — so it
 /// reproduces the scan pool bit-identically.
 #[derive(Debug, Clone, Default)]
 pub struct ThinkPool {
-    queue: TimerCalendar,
-    /// Reused selection buffer for [`ThinkPool::retire_latest`].
-    scratch: Vec<f64>,
+    heap: BinaryHeap<Reverse<u64>>,
 }
 
 impl ThinkPool {
@@ -51,28 +63,27 @@ impl ThinkPool {
 
     /// Number of clients currently thinking.
     pub fn len(&self) -> usize {
-        self.queue.len()
+        self.heap.len()
     }
 
     /// Whether no client is thinking.
     pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
+        self.heap.is_empty()
     }
 
-    /// Adds a client whose think timer expires at `expiry` (O(1)
-    /// amortized).
+    /// Adds a client whose think timer expires at `expiry` (O(log n)).
     pub fn push(&mut self, expiry: f64) {
-        self.queue.push(expiry);
+        self.heap.push(Reverse(key_of(expiry)));
     }
 
     /// Earliest think expiry (O(1)).
     pub fn peek_min(&self) -> Option<f64> {
-        self.queue.peek_min_time()
+        self.heap.peek().map(|&Reverse(k)| time_of(k))
     }
 
-    /// Removes and returns the earliest expiry (O(1) amortized).
+    /// Removes and returns the earliest expiry (O(log n)).
     pub fn pop_min(&mut self) -> Option<f64> {
-        self.queue.pop_if_le(f64::INFINITY)
+        self.heap.pop().map(|Reverse(k)| time_of(k))
     }
 
     /// Retires the `k` clients that would submit last (the largest
@@ -81,26 +92,73 @@ impl ThinkPool {
         if k == 0 {
             return;
         }
-        if k >= self.queue.len() {
-            self.queue.clear();
+        if k >= self.heap.len() {
+            self.heap.clear();
             return;
         }
-        let mut v = std::mem::take(&mut self.scratch);
-        self.queue.drain_times(&mut v);
-        // Partition the k largest expiries to the tail and drop them (the
-        // pivot at `keep` is the smallest of the k), then rebuild the
-        // calendar from the survivors (O(n)).
-        let keep = v.len() - k;
-        v.select_nth_unstable_by(keep, |a, b| a.total_cmp(b));
-        v.truncate(keep);
-        self.queue.rebuild_from_times(&mut v);
-        self.scratch = v;
+        // Under `Reverse` the k latest expiries are the k smallest
+        // elements: select them to the front, drop them, and re-heapify
+        // the survivors in place (O(n) overall).
+        let mut v = std::mem::take(&mut self.heap).into_vec();
+        v.select_nth_unstable(k - 1);
+        v.drain(..k);
+        self.heap = BinaryHeap::from(v);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn key_roundtrip_and_order() {
+        let xs = [
+            f64::NEG_INFINITY,
+            -1.5,
+            -0.0,
+            0.0,
+            1e-300,
+            1.0,
+            1e300,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for &x in &xs {
+            assert_eq!(time_of(key_of(x)).to_bits(), x.to_bits(), "{x}");
+        }
+        for w in xs.windows(2) {
+            assert!(key_of(w[0]) < key_of(w[1]), "{} !< {}", w[0], w[1]);
+        }
+    }
+
+    /// Non-finite and negative times follow `total_cmp` order end to end.
+    #[test]
+    fn total_cmp_extremes_pop_in_key_order() {
+        let mut p = ThinkPool::new();
+        let times = [
+            f64::NAN,
+            f64::INFINITY,
+            1e300,
+            0.0,
+            -0.0,
+            -3.5,
+            f64::NEG_INFINITY,
+        ];
+        for &t in &times {
+            p.push(t);
+        }
+        let mut got = Vec::new();
+        while let Some(t) = p.pop_min() {
+            got.push(t);
+        }
+        let mut want = times;
+        want.reverse();
+        assert_eq!(bits(&got), bits(&want), "reverse of push order");
+    }
 
     #[test]
     fn pops_in_ascending_order() {

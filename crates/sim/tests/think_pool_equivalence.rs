@@ -1,15 +1,12 @@
-//! Differential property battery: the calendar-backed [`ThinkPool`] must
+//! Differential property battery: the heap-backed [`ThinkPool`] must
 //! reproduce the linear-scan oracle [`ReferenceThinkPool`] **pop for pop**
-//! — identical expiry sequences, lengths and peeks — under every regime a
-//! closed-loop population can throw at it: plain pushes and bounded pops,
-//! same-bucket tie storms (many clients released at one bit-identical
-//! instant), far-future expiries that alias around the bucket ring for
-//! thousands of rotations, bursty MMPP-shaped clumps separated by calm
-//! gaps (CloudCoaster's regime), `total_cmp` extremes (infinities,
-//! negative zero, huge and tiny magnitudes), `retire_latest`
-//! population swings that cross the ring's grow/shrink thresholds in both
-//! directions, and a closed-loop population of at least 4096 clients
-//! cycling through exponential think times.
+//! — identical expiry sequences, lengths and peeks — under plain pushes
+//! and bounded pops, tie storms (many clients released at one
+//! bit-identical instant), far-future expiries, bursty MMPP-shaped clumps
+//! separated by calm gaps, `total_cmp` extremes (infinities, negative
+//! zero, huge and tiny magnitudes), `retire_latest` population swings, and
+//! a closed-loop population of at least 4096 clients cycling through
+//! exponential think times.
 
 use hipster_sim::dist::Exponential;
 use hipster_sim::reference::ReferenceThinkPool;
@@ -24,8 +21,7 @@ enum Op {
     Push { dt: f64 },
     /// A tie storm: `count` expiries at one bit-identical time.
     PushTies { dt: f64, count: usize },
-    /// A far-future expiry `mult × 1e6` seconds out — it aliases around
-    /// the bucket ring through thousands of virtual rotations.
+    /// A far-future expiry `mult × 1e6` seconds out.
     PushFar { mult: f64 },
     /// An MMPP-shaped burst: `count` expiries clumped within `spread`
     /// seconds after a calm gap of `gap` seconds.
@@ -84,8 +80,8 @@ fn at_scale_ops() -> impl Strategy<Value = Vec<Op>> {
 }
 
 /// `total_cmp` extremes both pools must order identically. (NaN is
-/// exercised by the unit tests in `calendar.rs`; here every popped time
-/// must also move the clock, which NaN cannot.)
+/// exercised by the unit tests in `think.rs`; here every popped time must
+/// also move the clock, which NaN cannot.)
 const WEIRD: [f64; 8] = [
     f64::INFINITY,
     f64::NEG_INFINITY,
@@ -100,36 +96,36 @@ const WEIRD: [f64; 8] = [
 /// Applies `ops` to both pools in lock-step, asserting identical pops,
 /// peeks and lengths after every step, then drains both to the end.
 fn run_pool_differential(ops: &[Op]) {
-    let mut cal = ThinkPool::new();
+    let mut heap = ThinkPool::new();
     let mut scan = ReferenceThinkPool::new();
     let mut now = 0.0f64;
-    let push_both = |cal: &mut ThinkPool, scan: &mut ReferenceThinkPool, t: f64| {
-        cal.push(t);
+    let push_both = |heap: &mut ThinkPool, scan: &mut ReferenceThinkPool, t: f64| {
+        heap.push(t);
         scan.push(t);
     };
     for op in ops {
         match *op {
-            Op::Push { dt } => push_both(&mut cal, &mut scan, now + dt),
+            Op::Push { dt } => push_both(&mut heap, &mut scan, now + dt),
             Op::PushTies { dt, count } => {
                 for _ in 0..count {
-                    push_both(&mut cal, &mut scan, now + dt);
+                    push_both(&mut heap, &mut scan, now + dt);
                 }
             }
-            Op::PushFar { mult } => push_both(&mut cal, &mut scan, now + mult * 1e6),
+            Op::PushFar { mult } => push_both(&mut heap, &mut scan, now + mult * 1e6),
             Op::Burst { gap, spread, count } => {
                 let start = now + gap;
                 for i in 0..count {
                     push_both(
-                        &mut cal,
+                        &mut heap,
                         &mut scan,
                         start + spread * (i as f64 / count as f64),
                     );
                 }
             }
-            Op::PushWeird { pick } => push_both(&mut cal, &mut scan, WEIRD[pick % WEIRD.len()]),
+            Op::PushWeird { pick } => push_both(&mut heap, &mut scan, WEIRD[pick % WEIRD.len()]),
             Op::PopSome { k } => {
                 for _ in 0..k {
-                    let a = cal.pop_min();
+                    let a = heap.pop_min();
                     let b = scan.pop_min();
                     assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits), "pop diverged");
                     match a {
@@ -140,8 +136,8 @@ fn run_pool_differential(ops: &[Op]) {
             }
             Op::PopDue { dt } => {
                 let to = now + dt;
-                while cal.peek_min().is_some_and(|t| t <= to) {
-                    let a = cal.pop_min();
+                while heap.peek_min().is_some_and(|t| t <= to) {
+                    let a = heap.pop_min();
                     let b = scan.pop_min();
                     assert_eq!(
                         a.map(f64::to_bits),
@@ -152,19 +148,19 @@ fn run_pool_differential(ops: &[Op]) {
                 now = to;
             }
             Op::RetireLatest { k } => {
-                cal.retire_latest(k);
+                heap.retire_latest(k);
                 scan.retire_latest(k);
             }
             Op::Population { count, think, seed } => {
                 let (dist, mut rng) = (Exponential::new(1.0 / think), SimRng::seed(seed));
                 for _ in 0..count {
-                    push_both(&mut cal, &mut scan, now + dist.sample(&mut rng));
+                    push_both(&mut heap, &mut scan, now + dist.sample(&mut rng));
                 }
             }
             Op::Cycle { k, think, seed } => {
                 let (dist, mut rng) = (Exponential::new(1.0 / think), SimRng::seed(seed));
                 for _ in 0..k {
-                    let a = cal.pop_min();
+                    let a = heap.pop_min();
                     let b = scan.pop_min();
                     assert_eq!(
                         a.map(f64::to_bits),
@@ -173,19 +169,19 @@ fn run_pool_differential(ops: &[Op]) {
                     );
                     let Some(t) = a else { break };
                     now = now.max(t.min(1e250));
-                    push_both(&mut cal, &mut scan, now + dist.sample(&mut rng));
+                    push_both(&mut heap, &mut scan, now + dist.sample(&mut rng));
                 }
             }
         }
-        assert_eq!(cal.len(), scan.len(), "len diverged");
+        assert_eq!(heap.len(), scan.len(), "len diverged");
         assert_eq!(
-            cal.peek_min().map(f64::to_bits),
+            heap.peek_min().map(f64::to_bits),
             scan.peek_min().map(f64::to_bits),
             "peek diverged"
         );
     }
     loop {
-        let a = cal.pop_min();
+        let a = heap.pop_min();
         let b = scan.pop_min();
         assert_eq!(
             a.map(f64::to_bits),
@@ -202,7 +198,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn calendar_pool_matches_reference_pool(
+    fn heap_pool_matches_reference_pool(
         ops in prop::collection::vec(op_strategy(), 1..300),
     ) {
         run_pool_differential(&ops);
@@ -214,7 +210,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn calendar_pool_matches_reference_pool_at_4096_clients(ops in at_scale_ops()) {
+    fn heap_pool_matches_reference_pool_at_4096_clients(ops in at_scale_ops()) {
         run_pool_differential(&ops);
     }
 }

@@ -213,7 +213,9 @@ impl LcWorkloadBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if any parameter is non-positive where positivity is required.
+    /// Panics if any parameter is non-positive where positivity is
+    /// required, or if a closed loop's think time is negative or not
+    /// finite (zero is allowed).
     pub fn build(self) -> LcWorkload {
         assert!(self.max_load_rps > 0.0, "max load must be positive");
         assert!(self.work_mean > 0.0, "work mean must be positive");
@@ -221,6 +223,13 @@ impl LcWorkloadBuilder {
         assert!(self.small_ipc_penalty >= 1.0, "IPC penalty must be ≥ 1");
         assert!(self.burst_mean >= 1.0, "burst mean must be ≥ 1");
         assert!(self.mem_s >= 0.0, "memory time must be non-negative");
+        if let Some(cl) = self.closed_loop {
+            let think = cl.think_mean_s;
+            assert!(
+                think.is_finite() && think >= 0.0,
+                "think time must be finite and non-negative: {think}"
+            );
+        }
         // LogNormal mean = median * exp(sigma²/2)  ⇒  median from mean.
         let median = self.work_mean / (self.work_sigma * self.work_sigma / 2.0).exp();
         LcWorkload {
@@ -338,5 +347,11 @@ mod tests {
     #[should_panic(expected = "burst mean")]
     fn builder_rejects_sub_one_burst() {
         let _ = LcWorkload::builder("x").burst_mean(0.5).build();
+    }
+
+    #[test]
+    #[should_panic(expected = "think time")]
+    fn builder_rejects_nan_think_time() {
+        let _ = LcWorkload::builder("x").closed_loop(96, f64::NAN).build();
     }
 }

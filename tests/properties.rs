@@ -4,7 +4,7 @@
 use hipster::core::{LoadBuckets, QTable};
 use hipster::platform::{power_ladder, stress_power, CoreConfig, CoreKind, Frequency, Platform};
 use hipster::sim::dist::{BoundedPareto, Exponential, LogNormal, Normal, Zipf};
-use hipster::sim::{percentile, P2Quantile, Sampler, SimRng};
+use hipster::sim::{percentile, Sampler, SimRng};
 use proptest::prelude::*;
 
 fn arb_config() -> impl Strategy<Value = CoreConfig> {
@@ -60,22 +60,6 @@ proptest! {
         let a = percentile(&mut xs, lo_p).unwrap();
         let b = percentile(&mut xs, hi_p).unwrap();
         prop_assert!(a <= b + 1e-9);
-    }
-
-    #[test]
-    fn p2_estimator_stays_within_range(seed in 0u64..1000, p in 0.05f64..0.95) {
-        let mut rng = SimRng::seed(seed);
-        let mut est = P2Quantile::new(p);
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for _ in 0..500 {
-            let x = rng.uniform() * 100.0;
-            lo = lo.min(x);
-            hi = hi.max(x);
-            est.observe(x);
-        }
-        let q = est.quantile().unwrap();
-        prop_assert!(q >= lo - 1e-9 && q <= hi + 1e-9, "q={q} outside [{lo},{hi}]");
     }
 
     #[test]
