@@ -83,7 +83,7 @@ use std::sync::{Arc, Mutex};
 
 use hipster_platform::Platform;
 use hipster_sim::{
-    BatchProgram, DomainFaultSpec, EngineSpec, EngineSpecError, FaultPlan, FaultSpec,
+    host_cores, BatchProgram, DomainFaultSpec, EngineSpec, EngineSpecError, FaultPlan, FaultSpec,
     FaultSpecError, FaultState, HedgeSpec, IntervalStats, LcModel, LoadPattern, QosTarget, SimRng,
     TopologySpec, WavePlan,
 };
@@ -695,7 +695,7 @@ const NODE_CHUNK: usize = 8;
 fn stage_workers(nodes: usize) -> usize {
     match nodes / MIN_NODES_PER_WORKER {
         0 | 1 => 1,
-        cap => std::thread::available_parallelism().map_or(1, |n| n.get().min(cap)),
+        cap => host_cores().min(cap),
     }
 }
 

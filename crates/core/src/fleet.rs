@@ -59,6 +59,8 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
 use std::time::Instant;
 
+use hipster_sim::host_cores;
+
 use crate::scenario::{ScenarioError, ScenarioOutcome, ScenarioSpec};
 use crate::store::{QuarantineRecord, StoreError, SweepRecord, SweepStore};
 
@@ -713,15 +715,8 @@ impl Fleet {
 /// Resolves a thread-count request against the number of runnable jobs
 /// (0 = one worker per available core; always at least one worker).
 fn resolve_workers(threads: usize, jobs: usize) -> usize {
-    if threads == 0 {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    } else {
-        threads
-    }
-    .min(jobs)
-    .max(1)
+    let workers = if threads == 0 { host_cores() } else { threads };
+    workers.min(jobs).max(1)
 }
 
 /// Bounds-checks a store cell index against this fleet's size.

@@ -75,11 +75,16 @@ impl std::fmt::Debug for Manager {
 impl Manager {
     /// Creates an interactive-mode manager (no batch collocation).
     pub fn new(engine: Engine, policy: Box<dyn Policy>) -> Self {
+        // One model guard for both reads: a second would wait on the first.
+        let (workload, qos) = {
+            let lc = engine.lc_model();
+            (lc.name().to_owned(), lc.qos())
+        };
         let meta = RunMeta {
             scenario: policy.name().to_owned(),
             policy: policy.name().to_owned(),
-            workload: engine.lc_model().name().to_owned(),
-            qos: engine.lc_model().qos(),
+            workload,
+            qos,
             seed: 0,
             interval_s: engine.interval_s(),
         };
@@ -162,7 +167,7 @@ impl Manager {
 
     /// The observation the policy will act on next.
     pub fn observation(&self) -> Observation {
-        let qos = self.engine.lc_model().qos();
+        let qos = self.meta.qos;
         match &self.last {
             None => Observation::startup(qos),
             Some(s) => {

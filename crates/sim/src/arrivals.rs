@@ -1,99 +1,107 @@
-//! The open-loop arrival stream: one generator that draws an interval's
-//! arrival events, burst sizes and request demands, the chunks that carry
-//! them from a helper thread to the engine's event loop, and the gate that
-//! decides whether the generator runs on a helper thread at all.
+//! The open-loop arrival stream: the gaps the event loop draws, the demand
+//! stream it reads bursts and demands from, and the generator thread that
+//! can draw that stream ahead, across intervals.
 //!
-//! In an open loop nothing the node does feeds back into when requests
-//! arrive or what they demand, so an interval's arrival stream can be
-//! drawn ahead of the loop that serves it. [`ArrivalGen`] draws it in this
-//! order, wherever it runs:
+//! Each open-loop arrival event takes three kinds of draws: the gap to it,
+//! from the arrival stream, and its burst size and that many demands, from
+//! the demand stream. A gap depends on the offered rate, which the load
+//! pattern sets per interval, so the event loop draws every gap itself
+//! ([`Gaps`]). Bursts and demands depend on nothing but the demand stream:
+//! each arrival event takes the next burst and its demands, in order,
+//! whatever the rate and wherever the interval boundaries fall. So the
+//! demand stream can be drawn ahead of the loop by a thread that never
+//! reads the load.
 //!
-//! 1. the first gap from the interval start, from the arrival stream;
-//! 2. for each arrival before the interval end, its burst size and that
-//!    many demands from the demand stream, and the next gap;
-//! 3. nothing after the first gap that reaches the interval end, which is
-//!    drawn and discarded.
-//!
-//! The event loop reads the stream through [`Arrivals`]. Inline, that is
-//! the generator itself, drawing each event as the loop takes it. On a
-//! spare core, [`relay`] runs the generator on a scoped helper thread that
-//! fills [`CHUNKS_IN_FLIGHT`] engine-owned [`ArrivalChunk`]s ahead of the
-//! loop and hands them over a bounded channel. Both run the same generator
-//! under the same loop, and the demand and arrival streams are separate,
-//! so both give the same bits.
+//! An engine's [`DemandStream`] starts [`DemandStream::Inline`]: the loop
+//! draws each burst and demand as it takes it. At the first interval
+//! [`Start`] admits, the engine hands the stream to a [`Generator`], one
+//! thread for the rest of the engine's life. It fills a ring of
+//! [`RING_CHUNKS`] chunks ahead of the loop, across interval boundaries, so
+//! every interval starts with its demands already drawn; it parks when the
+//! ring is full and is woken once half of it is spent. Both sites draw the
+//! same bursts and demands in the same order, and the two streams are
+//! separate, so an engine gives the same bits whenever its generator
+//! starts, or if it never does.
 
-use std::panic::resume_unwind;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SendError, SyncSender};
-use std::sync::OnceLock;
-use std::thread::ScopedJoinHandle;
+use std::any::Any;
+use std::collections::VecDeque;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::thread::JoinHandle;
 
 use crate::dist::Exponential;
 use crate::request::Demand;
 use crate::rng::{Sampler, SimRng};
 use crate::traits::LcModel;
 
-/// Arrival events per chunk.
-const CHUNK_ARRIVALS: usize = 64;
+/// Bursts per chunk.
+pub(crate) const CHUNK_BURSTS: usize = 64;
 
 /// Request demands per chunk: one hand-off carries about 25 µs of the
 /// loop's work. A burst whose demands do not fit continues at the head of
 /// the next chunk, so no chunk grows past this.
 const CHUNK_DEMANDS: usize = 512;
 
-/// Chunks a helper interval circulates: one in the event loop's hands, the
-/// rest filled ahead of it or being filled. The channels hold this many,
-/// so a send never blocks; only a side that has nothing to work on waits.
-const CHUNKS_IN_FLIGHT: usize = 4;
+/// Chunks in a generator's ring, about 140 KB: one in the loop's hands,
+/// the rest filled ahead of it or being filled. A 32-chunk ring read the
+/// same on the Juno.
+const RING_CHUNKS: usize = 16;
 
 /// Fewest expected requests (offered rate × interval) for which an
-/// interval's generator earns a helper thread. On a 2-core x86-64 host a
-/// scoped spawn and join costs 31–37 µs, and with the ziggurat normal
-/// moving the draws off the loop saves about 6.5 ns of the loop's 53 ns
-/// per request on the Juno, so the helper repays its spawn after about
-/// 5000 requests. An interval just under that loses a few microseconds at
-/// most, and 8192 read within noise of this value on the Juno and the
-/// sweep; outputs are bit-identical at any value. One Juno node at 1 s
-/// intervals clears it from about 11% of Memcached's 36k RPS maximum
-/// load. A cluster node at 50 ms intervals needs more than twice its
-/// maximum load, which only the overloaded survivors of a zone wave reach,
-/// inside a node stage that already fills the cores.
+/// interval may start its engine's generator. The generator then serves
+/// every later open-loop interval of that engine, so the threshold picks
+/// engines whose load repays a thread, not intervals. On a 2-core x86-64
+/// host the spawn call takes 0.09–0.21 ms, and drawing the demand stream
+/// off the loop saves about 9 ns of the Juno's 51 ns per request, so a
+/// generator repays its spawn within a few intervals at this threshold.
+/// One Juno node at 1 s intervals clears it from about 11% of Memcached's
+/// 36k RPS maximum load (`juno-diurnal` reaches that at its 207th
+/// interval). A cluster node at 50 ms intervals needs more than twice its
+/// maximum load, and never steps alone anyway.
 const HELPER_MIN_REQUESTS: f64 = 4096.0;
 
 /// Engines in this process now stepping an interval. Each step adds and
 /// subtracts once, which costs nothing measurable even while a 1024-node
 /// cluster's node stage steps engines on two cores. It publishes no other
-/// data, so its updates are `Relaxed`; a stale read only misplaces one
-/// generator.
+/// data, so its updates are `Relaxed`.
 static STEPPING: AtomicUsize = AtomicUsize::new(0);
 
-/// Where an interval's arrival generator runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Site {
-    /// On the event loop's thread, drawing each event as the loop takes it.
-    Inline,
-    /// On a scoped helper thread, up to [`CHUNKS_IN_FLIGHT`] − 1 chunks
-    /// ahead of the loop.
-    Helper,
-}
+/// Steps entered in this process so far: each step takes the next ticket.
+/// [`STEPPING`] alone cannot see a node-stage worker that is between two
+/// nodes, so a cluster node could start a generator and keep it for the
+/// cluster's life (a seed-1 `cluster-bursty` replay did, at a node's fifth
+/// interval, and its peak RSS rose from 118 to 128 MB). A cluster node's
+/// consecutive tickets always have other nodes' tickets between them; a
+/// stand-alone engine's follow each other. Read-modify-writes of one atomic
+/// are totally ordered, so `Relaxed` tickets are exact.
+static TICKETS: AtomicU64 = AtomicU64::new(0);
 
-/// Whether an interval's generator borrows a core. It does only when all
-/// of these hold: the interval is open-loop (a closed loop's arrivals wait
-/// on completions), it expects at least [`HELPER_MIN_REQUESTS`] requests,
-/// the host has a second core, and no other engine is stepping (the
-/// parallel node stage and multi-worker fleets already fill the cores).
+/// The process's generator budget: one live generator per core beyond the
+/// first, so that engines kept alive after stepping alone cannot hold more
+/// generator threads than there are spare cores.
+pub(crate) static GENERATORS: Budget = Budget::new(|| host_cores() - 1);
+
+/// Whether an interval may start its engine's generator. It may only when
+/// all of these hold: the interval is open-loop (a closed loop's arrivals
+/// wait on completions), it expects at least [`HELPER_MIN_REQUESTS`]
+/// requests, the host has a second core, and the engine steps alone
+/// ([`Stepping::alone`]; the parallel node stage and multi-worker fleets
+/// already fill the cores).
 pub(crate) fn borrows_core(
     open_loop: bool,
     expected_requests: f64,
     cores: usize,
-    others_stepping: usize,
+    alone: bool,
 ) -> bool {
-    open_loop && expected_requests >= HELPER_MIN_REQUESTS && cores >= 2 && others_stepping == 0
+    open_loop && expected_requests >= HELPER_MIN_REQUESTS && cores >= 2 && alone
 }
 
-/// The cores this process may run on, read once per process: the call
-/// costs tens of microseconds, as much as a short interval's whole step.
-fn host_cores() -> usize {
+/// The number of cores this process may run on, read once per process: the
+/// underlying call costs tens of microseconds, as much as a short
+/// interval's whole step. Every site that sizes its threads by the host
+/// reads it here, so they all agree.
+pub fn host_cores() -> usize {
     static CORES: OnceLock<usize> = OnceLock::new();
     *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
@@ -102,14 +110,21 @@ fn host_cores() -> usize {
 /// released on drop, also when the step panics.
 #[derive(Debug)]
 pub(crate) struct Stepping {
-    /// Other engines stepping when this one registered.
-    others: usize,
+    /// Whether the engine steps alone: no other engine was stepping when
+    /// this step registered, and none has entered a step since the engine's
+    /// previous one.
+    pub(crate) alone: bool,
 }
 
 impl Stepping {
-    fn enter() -> Self {
+    /// Registers a step of the engine whose previous step took `ticket`
+    /// (`None` before its first), and stores this step's ticket there.
+    pub(crate) fn enter(ticket: &mut Option<u64>) -> Self {
+        let others = STEPPING.fetch_add(1, Ordering::Relaxed);
+        let now = TICKETS.fetch_add(1, Ordering::Relaxed);
+        let previous = ticket.replace(now);
         Stepping {
-            others: STEPPING.fetch_add(1, Ordering::Relaxed),
+            alone: steps_alone(others, previous, now),
         }
     }
 }
@@ -120,344 +135,430 @@ impl Drop for Stepping {
     }
 }
 
-/// Registers an engine's interval as stepping, for as long as the returned
-/// guard lives, and decides where its generator runs ([`borrows_core`]).
-pub(crate) fn choose_site(open_loop: bool, expected_requests: f64) -> (Site, Stepping) {
-    let stepping = Stepping::enter();
-    let site = if borrows_core(open_loop, expected_requests, host_cores(), stepping.others) {
-        Site::Helper
-    } else {
-        Site::Inline
-    };
-    (site, stepping)
+/// Whether a step holding ticket `now` runs alone, given the engines
+/// stepping when it registered and the engine's previous ticket.
+fn steps_alone(others: usize, previous: Option<u64>, now: u64) -> bool {
+    others == 0 && previous.is_some_and(|p| p + 1 == now)
 }
 
-/// One arrival event: when it happens and how many requests it brings.
+/// A cap on the generator threads alive at once.
+#[derive(Debug)]
+pub(crate) struct Budget {
+    live: AtomicUsize,
+    cap: fn() -> usize,
+}
+
+impl Budget {
+    pub(crate) const fn new(cap: fn() -> usize) -> Self {
+        Budget {
+            live: AtomicUsize::new(0),
+            cap,
+        }
+    }
+
+    /// Takes a slot, or `None` when every slot is live. The count publishes
+    /// no other data, so it is `Relaxed`.
+    fn claim(&'static self) -> Option<Slot> {
+        let cap = (self.cap)();
+        self.live
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                (n < cap).then_some(n + 1)
+            })
+            .ok()
+            .map(|_| Slot(self))
+    }
+}
+
+/// A claimed [`Budget`] slot, released on drop.
+#[derive(Debug)]
+struct Slot(&'static Budget);
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        self.0.live.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// When a step may hand its engine's demand stream to a generator.
 #[derive(Debug, Clone, Copy)]
-struct Arrival {
-    t: f64,
-    burst: usize,
+pub(crate) enum Start {
+    /// When [`borrows_core`] admits the interval and the budget has a slot.
+    Gated(&'static Budget),
+    /// At the first open-loop interval the budget has a slot for (the
+    /// tests start generators at chosen intervals).
+    #[cfg(test)]
+    Now(&'static Budget),
+    /// Never: the stream stays where it is.
+    #[cfg(test)]
+    Never,
 }
 
-/// A run of an interval's arrival stream, as a helper hands it over: up to
-/// [`CHUNK_ARRIVALS`] events and the demands of their bursts, in draw
-/// order.
-#[derive(Debug)]
-struct ArrivalChunk {
-    arrivals: Vec<Arrival>,
-    /// The demands of this chunk's bursts. It starts with the rest of the
-    /// previous chunk's last burst when that burst did not fit.
-    demands: Vec<Demand>,
-    /// Whether the stream ends with this chunk.
-    last: bool,
-}
-
-impl ArrivalChunk {
-    /// An empty chunk with room for a full one, so that filling it never
-    /// allocates (a helper thread that allocates would open a malloc arena
-    /// of its own).
-    fn new() -> Self {
-        ArrivalChunk {
-            arrivals: Vec::with_capacity(CHUNK_ARRIVALS),
-            demands: Vec::with_capacity(CHUNK_DEMANDS),
-            last: false,
-        }
-    }
-
-    /// Empties the chunk, keeping its room.
-    fn reset(&mut self) {
-        self.arrivals.clear();
-        self.demands.clear();
-        self.last = false;
-    }
-}
-
-/// Everything a helper interval circulates: the chunk buffers and both
-/// channels. The engine keeps it between helper intervals, so a warm one
-/// allocates nothing on either thread (a new channel is a cache-aligned
-/// allocation, and one per interval fragments the heap).
-#[derive(Debug)]
-pub(crate) struct Conduit {
-    chunks: Vec<ArrivalChunk>,
-    /// Filled chunks, helper to loop.
-    full: (SyncSender<ArrivalChunk>, Receiver<ArrivalChunk>),
-    /// Spent chunks, loop to helper.
-    spent: (SyncSender<ArrivalChunk>, Receiver<ArrivalChunk>),
-}
-
-impl Conduit {
-    fn new() -> Self {
-        Conduit {
-            chunks: (0..CHUNKS_IN_FLIGHT).map(|_| ArrivalChunk::new()).collect(),
-            full: sync_channel(CHUNKS_IN_FLIGHT),
-            spent: sync_channel(CHUNKS_IN_FLIGHT),
+impl Start {
+    /// The budget an open-loop interval expecting `expected_requests` may
+    /// start a generator from, if it may start one at all.
+    pub(crate) fn admits(
+        self,
+        expected_requests: f64,
+        stepping: &Stepping,
+    ) -> Option<&'static Budget> {
+        match self {
+            Start::Gated(budget) => {
+                borrows_core(true, expected_requests, host_cores(), stepping.alone)
+                    .then_some(budget)
+            }
+            #[cfg(test)]
+            Start::Now(budget) => Some(budget),
+            #[cfg(test)]
+            Start::Never => None,
         }
     }
 }
 
-/// Draws one interval's open-loop arrival stream (see the module docs for
-/// the draw order): event by event for an inline loop, chunk by chunk on a
-/// helper thread.
-///
-/// It holds `&mut` to the model and to both streams for the interval.
-/// `LcModel` is `Send` but not `Sync`, so a shared `&dyn LcModel` could not
-/// move to a helper thread; exclusive access needs only `Send`.
+/// The engine's model, shared with its generator thread.
+pub(crate) type SharedModel = Arc<Mutex<Box<dyn LcModel>>>;
+
+/// Locks the engine's model. A model that panics while the loop holds the
+/// lock poisons it; every `LcModel` method takes `&self`, so nothing the
+/// engine does through the lock can be left half done, and the guard is
+/// recovered.
+pub(crate) fn lock_model(lc: &SharedModel) -> MutexGuard<'_, Box<dyn LcModel>> {
+    lc.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// An open-loop interval's arrival events, drawn on the loop's thread from
+/// the arrival stream.
 #[derive(Debug)]
-pub(crate) struct ArrivalGen<'a> {
-    lc: &'a mut dyn LcModel,
-    demand_rng: &'a mut SimRng,
-    arrival_rng: &'a mut SimRng,
+pub(crate) struct Gaps<'a> {
     /// Inter-arrival-event gaps; `None` when the interval offers no load.
     iat: Option<Exponential>,
-    t_end: f64,
-    /// The next arrival event's time, its gap drawn but the event not yet
-    /// taken; `None` once a gap reached the interval end.
-    next: Option<f64>,
-    /// Demands of the last burst taken that [`ArrivalGen::fill`] has not
-    /// drawn yet, because its chunk was full.
-    owed: usize,
+    rng: &'a mut SimRng,
+    /// The interval end.
+    pub(crate) t_end: f64,
 }
 
-impl<'a> ArrivalGen<'a> {
-    /// Starts the stream of the interval `[now, t_end)`, drawing its first
-    /// gap.
-    pub(crate) fn new(
-        lc: &'a mut dyn LcModel,
-        demand_rng: &'a mut SimRng,
-        arrival_rng: &'a mut SimRng,
-        iat: Option<Exponential>,
-        now: f64,
-        t_end: f64,
-    ) -> Self {
-        let mut gen = ArrivalGen {
-            lc,
-            demand_rng,
-            arrival_rng,
-            iat,
-            t_end,
-            next: None,
-            owed: 0,
-        };
-        gen.next = gen.after(now);
-        gen
+impl<'a> Gaps<'a> {
+    pub(crate) fn new(iat: Option<Exponential>, rng: &'a mut SimRng, t_end: f64) -> Self {
+        Gaps { iat, rng, t_end }
     }
 
     /// The arrival event one gap after `t`, or `None` when it falls at or
-    /// after the interval end.
-    fn after(&mut self, t: f64) -> Option<f64> {
-        let x = t + self.iat.as_ref()?.sample(self.arrival_rng);
+    /// after the interval end. The first gap that reaches the end is drawn
+    /// and discarded.
+    pub(crate) fn after(&mut self, t: f64) -> Option<f64> {
+        let x = t + self.iat.as_ref()?.sample(self.rng);
         (x < self.t_end).then_some(x)
-    }
-
-    /// Refills `chunk` with the stream's next events and demands, first
-    /// finishing a burst that the previous chunk could not hold.
-    fn fill(&mut self, chunk: &mut ArrivalChunk) {
-        chunk.reset();
-        loop {
-            let n = self.owed.min(CHUNK_DEMANDS - chunk.demands.len());
-            for _ in 0..n {
-                chunk.demands.push(self.demand());
-            }
-            self.owed -= n;
-            let full =
-                chunk.arrivals.len() == CHUNK_ARRIVALS || chunk.demands.len() == CHUNK_DEMANDS;
-            if self.owed > 0 || full {
-                break;
-            }
-            let Some(t) = self.next else { break };
-            self.owed = self.take_burst();
-            chunk.arrivals.push(Arrival {
-                t,
-                burst: self.owed,
-            });
-        }
-        chunk.last = self.next.is_none() && self.owed == 0;
     }
 }
 
-/// The event loop's view of an interval's arrival stream, wherever its
-/// generator runs: the generator itself when it runs inline, a [`Relay`]
-/// when it runs on a helper thread.
-pub(crate) trait Arrivals {
-    /// Time of the next arrival event, or `None` once the stream has ended.
-    fn peek(&mut self) -> Option<f64>;
-
-    /// Takes the event [`Arrivals::peek`] returned; returns its burst size.
-    /// Its demands follow through [`Arrivals::demand`].
-    fn take_burst(&mut self) -> usize;
+/// The event loop's view of the demand stream, wherever it is drawn.
+pub(crate) trait Demands {
+    /// The next arrival event's burst size (at least 1). Its demands
+    /// follow through [`Demands::demand`].
+    fn burst(&mut self) -> usize;
 
     /// The next demand of the burst being taken.
     fn demand(&mut self) -> Demand;
 }
 
-/// Inline, the generator draws each event as the loop takes it.
-impl Arrivals for ArrivalGen<'_> {
-    fn peek(&mut self) -> Option<f64> {
-        self.next
-    }
+/// The inline site: the loop draws each burst and demand as it takes it.
+#[derive(Debug)]
+pub(crate) struct InlineDemands<'a> {
+    pub(crate) lc: &'a dyn LcModel,
+    pub(crate) rng: &'a mut SimRng,
+}
 
-    /// Draws the burst size, then the gap to the event after it.
-    fn take_burst(&mut self) -> usize {
-        let t = self.next.expect("an arrival event is pending");
-        let burst = self.lc.sample_burst(self.demand_rng).max(1);
-        self.next = self.after(t);
-        burst
+impl Demands for InlineDemands<'_> {
+    fn burst(&mut self) -> usize {
+        self.lc.sample_burst(self.rng).max(1)
     }
 
     fn demand(&mut self) -> Demand {
-        self.lc.sample_demand(self.demand_rng)
+        self.lc.sample_demand(self.rng)
     }
 }
 
-/// What the helper thread hands back when it ends: the chunks still in its
-/// hands and its ends of the channels (spent chunks in, full ones out).
-type Leftovers = (
-    Vec<ArrivalChunk>,
-    Receiver<ArrivalChunk>,
-    SyncSender<ArrivalChunk>,
-);
-
-/// The event loop's end of a helper-fed stream: the chunk in hand, the read
-/// positions in it, and the channels to and from the helper.
+/// Where an engine's demand stream is drawn.
 #[derive(Debug)]
-pub(crate) struct Relay<'s> {
-    full: Receiver<ArrivalChunk>,
-    spent: SyncSender<ArrivalChunk>,
-    /// Taken when the helper is joined.
-    generator: Option<ScopedJoinHandle<'s, Leftovers>>,
-    chunk: ArrivalChunk,
-    arrival: usize,
-    demand: usize,
+pub(crate) enum DemandStream {
+    /// On the event loop's thread, from this stream.
+    Inline(SimRng),
+    /// On the engine's generator thread, up to a ring ahead of the loop.
+    RunAhead(Generator),
 }
 
-impl Arrivals for Relay<'_> {
-    fn peek(&mut self) -> Option<f64> {
-        while self.arrival == self.chunk.arrivals.len() {
-            if self.chunk.last {
+impl DemandStream {
+    /// Whether a generator draws the stream.
+    #[cfg(test)]
+    pub(crate) fn runs_ahead(&self) -> bool {
+        matches!(self, DemandStream::RunAhead(_))
+    }
+
+    /// Hands the stream to a generator thread that draws from `lc`, if
+    /// `budget` has a slot and the thread starts; otherwise, or if a
+    /// generator already draws it, leaves it where it is.
+    pub(crate) fn run_ahead(&mut self, lc: &SharedModel, budget: &'static Budget) {
+        if let DemandStream::Inline(rng) = self {
+            if let Some(generator) = budget
+                .claim()
+                .and_then(|slot| Generator::start(lc, rng.clone(), slot))
+            {
+                *self = DemandStream::RunAhead(generator);
+            }
+        }
+    }
+}
+
+/// A run of the demand stream as the generator hands it over: up to
+/// [`CHUNK_BURSTS`] bursts and their demands, in draw order.
+#[derive(Debug, Default)]
+struct Chunk {
+    bursts: Vec<usize>,
+    /// The demands of this chunk's bursts. It starts with the rest of an
+    /// earlier chunk's last burst when that burst did not fit.
+    demands: Vec<Demand>,
+    /// The payload of the model panic that ended the stream on the draw
+    /// after this chunk's last.
+    panic: Option<Box<dyn Any + Send>>,
+}
+
+impl Chunk {
+    /// An empty chunk with room for a full one, so that filling it never
+    /// allocates (a generator thread that allocates would open a malloc
+    /// arena of its own).
+    fn with_room() -> Self {
+        Chunk {
+            bursts: Vec::with_capacity(CHUNK_BURSTS),
+            demands: Vec::with_capacity(CHUNK_DEMANDS),
+            panic: None,
+        }
+    }
+
+    /// Refills the chunk with the stream's next bursts and demands, first
+    /// the `owed` demands of a burst an earlier chunk could not hold.
+    fn fill(&mut self, lc: &dyn LcModel, rng: &mut SimRng, owed: &mut usize) {
+        self.bursts.clear();
+        self.demands.clear();
+        loop {
+            let n = (*owed).min(CHUNK_DEMANDS - self.demands.len());
+            for _ in 0..n {
+                self.demands.push(lc.sample_demand(rng));
+            }
+            *owed -= n;
+            let full = self.bursts.len() == CHUNK_BURSTS || self.demands.len() == CHUNK_DEMANDS;
+            if *owed > 0 || full {
+                return;
+            }
+            *owed = lc.sample_burst(rng).max(1);
+            self.bursts.push(*owed);
+        }
+    }
+}
+
+/// The chunks a generator and its loop pass between them.
+#[derive(Debug)]
+struct Ring {
+    state: Mutex<RingState>,
+    /// Wakes a parked generator.
+    to_generator: Condvar,
+    /// Wakes a loop waiting for a filled chunk.
+    to_loop: Condvar,
+}
+
+#[derive(Debug)]
+struct RingState {
+    /// Filled chunks, in draw order.
+    full: VecDeque<Chunk>,
+    /// Chunks the loop has read, for the generator to refill.
+    spent: Vec<Chunk>,
+    /// Whether the generator waits for a spent chunk.
+    generator_parked: bool,
+    /// Whether the loop waits for a filled chunk.
+    loop_waiting: bool,
+    /// Set when the engine drops: the generator stops.
+    stop: bool,
+    /// Set when the generator has ended at a model panic.
+    ended: bool,
+}
+
+impl Ring {
+    fn state(&self) -> MutexGuard<'_, RingState> {
+        // Neither side can panic while it holds the lock.
+        self.state.lock().expect("demand ring lock poisoned")
+    }
+
+    /// The next chunk to fill, parking while none is spent; `None` once the
+    /// engine stops the generator.
+    fn next_spent(&self) -> Option<Chunk> {
+        let mut state = self.state();
+        loop {
+            if state.stop {
                 return None;
             }
-            self.refill();
+            if let Some(chunk) = state.spent.pop() {
+                return Some(chunk);
+            }
+            state.generator_parked = true;
+            state = self
+                .to_generator
+                .wait(state)
+                .expect("demand ring lock poisoned");
         }
-        Some(self.chunk.arrivals[self.arrival].t)
     }
 
-    fn take_burst(&mut self) -> usize {
-        let burst = self.chunk.arrivals[self.arrival].burst;
-        self.arrival += 1;
-        burst
+    /// Hands a filled chunk to the loop; `last` marks the stream's end.
+    fn hand_over(&self, chunk: Chunk, last: bool) {
+        let mut state = self.state();
+        state.full.push_back(chunk);
+        state.ended = last;
+        if state.loop_waiting {
+            state.loop_waiting = false;
+            self.to_loop.notify_one();
+        }
+    }
+}
+
+/// The generator thread's body: refills spent chunks in stream order until
+/// the engine stops it or the model panics. A panic is caught per fill, so
+/// the draws before it still reach the loop, in the chunk that carries the
+/// payload, and the thread ends after handing that chunk over.
+fn generate(ring: &Ring, lc: &SharedModel, mut rng: SimRng) {
+    let mut owed = 0;
+    while let Some(mut chunk) = ring.next_spent() {
+        chunk.panic = {
+            let model = lock_model(lc);
+            catch_unwind(AssertUnwindSafe(|| {
+                chunk.fill(&**model, &mut rng, &mut owed)
+            }))
+            .err()
+        };
+        let last = chunk.panic.is_some();
+        ring.hand_over(chunk, last);
+        if last {
+            return;
+        }
+    }
+}
+
+/// An engine's generator thread, and the loop's end of its ring: the chunk
+/// in hand and the read positions in it. Dropping it stops the thread,
+/// joins it and releases its budget slot.
+#[derive(Debug)]
+pub(crate) struct Generator {
+    ring: Arc<Ring>,
+    chunk: Chunk,
+    burst_at: usize,
+    demand_at: usize,
+    /// Taken when the thread is joined.
+    thread: Option<JoinHandle<()>>,
+    /// Released after the join, when the generator's fields drop.
+    _slot: Slot,
+}
+
+impl Generator {
+    /// Allocates the ring on this thread and spawns the generator to draw
+    /// `rng`'s stream from `lc`; `None` if the thread does not start.
+    fn start(lc: &SharedModel, rng: SimRng, slot: Slot) -> Option<Self> {
+        let mut spent = Vec::with_capacity(RING_CHUNKS);
+        spent.extend((1..RING_CHUNKS).map(|_| Chunk::with_room()));
+        let ring = Arc::new(Ring {
+            state: Mutex::new(RingState {
+                full: VecDeque::with_capacity(RING_CHUNKS),
+                spent,
+                generator_parked: false,
+                loop_waiting: false,
+                stop: false,
+                ended: false,
+            }),
+            to_generator: Condvar::new(),
+            to_loop: Condvar::new(),
+        });
+        let thread = {
+            let (ring, lc) = (Arc::clone(&ring), Arc::clone(lc));
+            std::thread::Builder::new()
+                .name("demand-stream".into())
+                .spawn(move || generate(&ring, &lc, rng))
+                .ok()?
+        };
+        Some(Generator {
+            ring,
+            chunk: Chunk::with_room(),
+            burst_at: 0,
+            demand_at: 0,
+            thread: Some(thread),
+            _slot: slot,
+        })
+    }
+
+    /// Swaps the chunk in hand for the next filled one, waiting for it if
+    /// the generator is behind. If the chunk in hand carries a model panic,
+    /// re-raises it here instead, with the model's own payload: the loop
+    /// has reached the draw that panicked.
+    fn refill(&mut self) {
+        if let Some(payload) = self.chunk.panic.take() {
+            resume_unwind(payload);
+        }
+        let mut state = self.ring.state();
+        state.spent.push(std::mem::take(&mut self.chunk));
+        if state.generator_parked && state.spent.len() >= RING_CHUNKS / 2 {
+            state.generator_parked = false;
+            self.ring.to_generator.notify_one();
+        }
+        self.chunk = loop {
+            if let Some(next) = state.full.pop_front() {
+                break next;
+            }
+            if state.ended {
+                drop(state);
+                panic!("the demand stream ended at a model panic already raised");
+            }
+            state.loop_waiting = true;
+            state = self
+                .ring
+                .to_loop
+                .wait(state)
+                .expect("demand ring lock poisoned");
+        };
+        self.burst_at = 0;
+        self.demand_at = 0;
+    }
+}
+
+impl Demands for Generator {
+    fn burst(&mut self) -> usize {
+        while self.burst_at == self.chunk.bursts.len() {
+            self.refill();
+        }
+        self.burst_at += 1;
+        self.chunk.bursts[self.burst_at - 1]
     }
 
     fn demand(&mut self) -> Demand {
-        if self.demand == self.chunk.demands.len() {
+        while self.demand_at == self.chunk.demands.len() {
             self.refill();
         }
-        let demand = self.chunk.demands[self.demand];
-        self.demand += 1;
-        demand
+        self.demand_at += 1;
+        self.chunk.demands[self.demand_at - 1]
     }
 }
 
-impl Relay<'_> {
-    /// Swaps the spent chunk for the helper's next one.
-    fn refill(&mut self) {
-        match self.full.recv() {
-            Ok(next) => {
-                let spent = std::mem::replace(&mut self.chunk, next);
-                // Never blocks (the channel holds every chunk). Fails only
-                // if the helper is gone, which the next `recv` reports.
-                let _ = self.spent.send(spent);
-            }
-            // The helper hung up before its stream's end: it panicked.
-            // Re-raise its panic here, with its own payload.
-            Err(_) => match self.generator.take().expect("helper joined once").join() {
-                Err(payload) => resume_unwind(payload),
-                Ok(_) => unreachable!("a helper ends its stream early only by panicking"),
-            },
-        }
-        self.arrival = 0;
-        self.demand = 0;
-    }
-}
-
-/// The helper thread's body: fills spare chunks first, then the ones the
-/// loop hands back, until the stream ends or the loop hangs up (a loop
-/// that panics drops its channel ends, which wakes a waiting helper).
-fn generate(
-    mut gen: ArrivalGen<'_>,
-    mut spare: Vec<ArrivalChunk>,
-    spent: Receiver<ArrivalChunk>,
-    full: SyncSender<ArrivalChunk>,
-) -> Leftovers {
-    while let Some(mut chunk) = spare.pop().or_else(|| spent.recv().ok()) {
-        gen.fill(&mut chunk);
-        let last = chunk.last;
-        if let Err(SendError(chunk)) = full.send(chunk) {
-            spare.push(chunk);
-            break;
-        }
-        if last {
-            break;
+impl Drop for Generator {
+    fn drop(&mut self) {
+        // A drop must not panic, so a poisoned lock is recovered; the flag
+        // is all this writes.
+        let mut state = self
+            .ring
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        state.stop = true;
+        drop(state);
+        self.ring.to_generator.notify_one();
+        if let Some(thread) = self.thread.take() {
+            // The thread catches the model's panics, so it returns normally
+            // unless this module has a bug, which a drop cannot report.
+            let _ = thread.join();
         }
     }
-    (spare, spent, full)
-}
-
-/// Runs `gen` on a scoped helper thread and `event_loop` on this one,
-/// over the [`Relay`] between them, and returns the loop's result. The
-/// [`Conduit`] is built at the first helper interval and reused after.
-///
-/// The helper is joined explicitly before this returns, so that the next
-/// interval's helper reuses its malloc arena. If the generator panics, the
-/// panic is re-raised on this thread with its own payload; if the loop
-/// panics, its dropped channel ends release the helper.
-pub(crate) fn relay<R>(
-    gen: ArrivalGen<'_>,
-    conduit: &mut Option<Conduit>,
-    event_loop: impl FnOnce(&mut Relay<'_>) -> R,
-) -> R {
-    let Conduit {
-        mut chunks,
-        full: (full_tx, full),
-        spent: (spent, spent_rx),
-    } = conduit.take().unwrap_or_else(Conduit::new);
-    let mut chunk = chunks.pop().expect("a conduit holds every chunk");
-    chunk.reset();
-    std::thread::scope(|scope| {
-        let helper = scope.spawn(move || generate(gen, chunks, spent_rx, full_tx));
-        let mut relay = Relay {
-            full,
-            spent,
-            generator: Some(helper),
-            chunk,
-            arrival: 0,
-            demand: 0,
-        };
-        let out = event_loop(&mut relay);
-        let Relay {
-            full,
-            spent,
-            generator,
-            chunk,
-            ..
-        } = relay;
-        // Holding the last chunk means the helper sent everything and
-        // returns. A loop that stopped short drops its channel ends here
-        // instead, which releases a helper still waiting for a spent
-        // chunk; the conduit is then rebuilt next time.
-        let ends = chunk.last.then_some((full, spent));
-        let helper = generator.expect("the stream ended, so its helper was not joined yet");
-        let (mut chunks, spent_rx, full_tx) = helper.join().unwrap_or_else(|p| resume_unwind(p));
-        if let Some((full, spent)) = ends {
-            chunks.extend(spent_rx.try_iter());
-            chunks.push(chunk);
-            *conduit = Some(Conduit {
-                chunks,
-                full: (full_tx, full),
-                spent: (spent, spent_rx),
-            });
-        }
-        out
-    })
 }
 
 #[cfg(test)]
@@ -467,13 +568,12 @@ mod tests {
     use hipster_platform::{CoreKind, Frequency};
     use std::cell::Cell;
 
-    /// Geometric bursts of mean `burst_mean` and demands numbered in draw
-    /// order; panics on demand draw `panic_at`.
+    /// Geometric-ish bursts of mean `burst_mean` and demands numbered in
+    /// draw order.
     #[derive(Debug)]
     struct Numbered {
         burst_mean: f64,
         drawn: Cell<u64>,
-        panic_at: Option<u64>,
     }
 
     impl LcModel for Numbered {
@@ -489,7 +589,6 @@ mod tests {
         fn sample_demand(&self, rng: &mut SimRng) -> Demand {
             let k = self.drawn.get() + 1;
             self.drawn.set(k);
-            assert_ne!(Some(k), self.panic_at, "numbered model fails on draw {k}");
             Demand::new(k as f64, rng.uniform())
         }
         fn service_speed(&self, _kind: CoreKind, _freq: Frequency) -> f64 {
@@ -503,168 +602,142 @@ mod tests {
         }
     }
 
-    fn numbered(burst_mean: f64, panic_at: Option<u64>) -> Numbered {
-        Numbered {
+    fn numbered(burst_mean: f64) -> SharedModel {
+        Arc::new(Mutex::new(Box::new(Numbered {
             burst_mean,
             drawn: Cell::new(0),
-            panic_at,
-        }
+        })))
     }
 
-    /// Every `(time, demand)` the stream yields, read the way the event
+    static UNCAPPED: Budget = Budget::new(|| usize::MAX);
+
+    /// Every `(time, demand)` one interval yields, read the way the event
     /// loop reads it.
-    fn drain(arrivals: &mut impl Arrivals) -> Vec<(f64, Demand)> {
+    fn drain(gaps: &mut Gaps<'_>, demands: &mut impl Demands, start: f64) -> Vec<(f64, Demand)> {
         let mut out = Vec::new();
-        while let Some(t) = arrivals.peek() {
-            for _ in 0..arrivals.take_burst() {
-                out.push((t, arrivals.demand()));
-            }
+        let mut next = gaps.after(start);
+        while let Some(t) = next {
+            let burst = demands.burst();
+            next = gaps.after(t);
+            out.extend((0..burst).map(|_| (t, demands.demand())));
         }
         out
     }
 
-    fn read_stream(
-        lc: &mut Numbered,
-        site: Site,
-        conduit: &mut Option<Conduit>,
-        rate: f64,
-    ) -> Vec<(f64, Demand)> {
-        let (mut demand_rng, mut arrival_rng) = (SimRng::seed(1), SimRng::seed(2));
-        let iat = (rate > 0.0).then(|| Exponential::new(rate));
-        let mut gen = ArrivalGen::new(lc, &mut demand_rng, &mut arrival_rng, iat, 3.0, 4.0);
-        match site {
-            Site::Inline => drain(&mut gen),
-            Site::Helper => relay(gen, conduit, |relay| drain(relay)),
+    /// Reads one stream through 1 s intervals at `rates`, one interval per
+    /// rate, with the generator started before interval `start_at` (never
+    /// when it is past the end).
+    fn read_intervals(lc: &SharedModel, rates: &[f64], start_at: usize) -> Vec<(f64, Demand)> {
+        let (mut stream, mut arrival_rng) =
+            (DemandStream::Inline(SimRng::seed(1)), SimRng::seed(2));
+        let mut out = Vec::new();
+        for (k, &rate) in rates.iter().enumerate() {
+            if k == start_at {
+                stream.run_ahead(lc, &UNCAPPED);
+                assert!(stream.runs_ahead());
+            }
+            let iat = (rate > 0.0).then(|| Exponential::new(rate));
+            let (start, mut gaps) = (k as f64, Gaps::new(iat, &mut arrival_rng, k as f64 + 1.0));
+            out.extend(match &mut stream {
+                DemandStream::Inline(rng) => {
+                    let model = lock_model(lc);
+                    drain(&mut gaps, &mut InlineDemands { lc: &**model, rng }, start)
+                }
+                DemandStream::RunAhead(generator) => drain(&mut gaps, generator, start),
+            });
         }
+        if let DemandStream::RunAhead(generator) = &stream {
+            let state = generator.ring.state();
+            assert!(
+                state.full.iter().chain(&state.spent).all(|c| {
+                    c.bursts.capacity() == CHUNK_BURSTS && c.demands.capacity() == CHUNK_DEMANDS
+                }),
+                "no chunk grows, so the generator never allocates"
+            );
+        }
+        out
     }
 
     #[test]
-    fn both_sites_yield_one_stream_and_keep_the_conduit() {
-        // Bursts of mean 300 overflow helper chunks often, some by more
-        // than a whole chunk; rate 0 yields an empty stream.
-        let mut conduit = None;
-        for (burst_mean, rate) in [(1.0, 5000.0), (10.0, 2000.0), (300.0, 40.0), (5.0, 0.0)] {
-            let inline = read_stream(
-                &mut numbered(burst_mean, None),
-                Site::Inline,
-                &mut conduit,
-                rate,
+    fn the_stream_runs_ahead_across_intervals_bit_for_bit() {
+        // Bursts of mean 300 overflow chunks often, some by more than a
+        // whole chunk, and span interval boundaries; rate 0 takes nothing.
+        let rates = [40.0, 0.0, 3.0, 25.0, 0.0, 0.0, 60.0, 1.0, 30.0, 45.0];
+        let inline = read_intervals(&numbered(300.0), &rates, usize::MAX);
+        assert!(
+            inline.len() > 20 * CHUNK_DEMANDS,
+            "{} demands",
+            inline.len()
+        );
+        let works: Vec<f64> = inline.iter().map(|(_, d)| d.work).collect();
+        let expected: Vec<f64> = (1..=inline.len()).map(|k| k as f64).collect();
+        assert_eq!(works, expected, "demands arrive in draw order");
+        for start_at in [0, 1, 4, 7] {
+            let ahead = read_intervals(&numbered(300.0), &rates, start_at);
+            assert!(
+                ahead == inline,
+                "generator started before interval {start_at}"
             );
-            // The second and later helper streams reuse the first conduit.
-            let helper = read_stream(
-                &mut numbered(burst_mean, None),
-                Site::Helper,
-                &mut conduit,
-                rate,
-            );
-            let kept = conduit
-                .as_ref()
-                .expect("a finished stream keeps its conduit");
-            assert_eq!(
-                kept.chunks.len(),
-                CHUNKS_IN_FLIGHT,
-                "every chunk comes back"
-            );
-            assert!(kept
-                .chunks
-                .iter()
-                .all(|c| c.arrivals.capacity() >= CHUNK_ARRIVALS
-                    && c.demands.capacity() >= CHUNK_DEMANDS));
-            assert_eq!(inline, helper, "burst mean {burst_mean}");
-            let works: Vec<f64> = inline.iter().map(|(_, d)| d.work).collect();
-            let expected: Vec<f64> = (1..=inline.len()).map(|k| k as f64).collect();
-            assert_eq!(works, expected, "demands arrive in draw order");
-            assert!(inline.iter().all(|&(t, _)| (3.0..4.0).contains(&t)));
-            assert_eq!(inline.is_empty(), rate == 0.0);
         }
+        // Unit bursts fill chunks by burst count instead.
+        let rates = [2000.0, 500.0, 0.0, 3000.0];
+        let inline = read_intervals(&numbered(1.0), &rates, usize::MAX);
+        assert!(inline == read_intervals(&numbered(1.0), &rates, 0));
     }
 
     #[test]
     fn gate_refuses_each_missing_condition() {
         let heavy = HELPER_MIN_REQUESTS;
-        assert!(borrows_core(true, heavy, 2, 0));
-        assert!(borrows_core(true, 1e9, 64, 0));
-        assert!(!borrows_core(false, heavy, 2, 0), "closed loop");
-        assert!(!borrows_core(true, heavy - 1.0, 2, 0), "short interval");
-        assert!(!borrows_core(true, 0.0, 2, 0), "no load");
-        assert!(!borrows_core(true, heavy, 1, 0), "one core");
-        assert!(!borrows_core(true, heavy, 2, 1), "another engine stepping");
-    }
-
-    #[test]
-    fn an_engine_stepping_keeps_others_inline() {
-        // Other tests step engines concurrently, so only lower bounds hold.
-        let (_, first) = choose_site(false, 0.0);
-        let (site, second) = choose_site(true, 10.0 * HELPER_MIN_REQUESTS);
-        assert!(second.others >= 1, "the first interval is still stepping");
-        assert_eq!(site, Site::Inline);
-        drop((first, second));
-    }
-
-    #[test]
-    fn a_generator_panic_reaches_the_loop_with_its_own_message() {
-        for site in [Site::Inline, Site::Helper] {
-            let mut conduit = None;
-            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                read_stream(&mut numbered(10.0, Some(700)), site, &mut conduit, 2000.0)
-            }));
-            let payload = caught.expect_err("draw 700 panics");
-            let msg = payload
-                .downcast_ref::<String>()
-                .expect("assert_ne! panics with a formatted message");
-            assert!(
-                msg.contains("numbered model fails on draw 700"),
-                "{site:?}: {msg}"
-            );
-        }
-    }
-
-    /// Runs `event_loop` over a long helper-fed stream on a thread of its
-    /// own and returns its outcome, failing instead of hanging if a side
-    /// is left blocked.
-    fn helper_stream_outcome(
-        event_loop: fn(&mut Relay<'_>) -> usize,
-    ) -> std::thread::Result<usize> {
-        let (tx, rx) = std::sync::mpsc::channel();
-        let runner = std::thread::spawn(move || {
-            let mut lc = numbered(10.0, None);
-            let (mut demand_rng, mut arrival_rng) = (SimRng::seed(1), SimRng::seed(2));
-            let iat = Some(Exponential::new(2000.0));
-            let gen = ArrivalGen::new(&mut lc, &mut demand_rng, &mut arrival_rng, iat, 0.0, 1.0);
-            let mut conduit = None;
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                relay(gen, &mut conduit, event_loop)
-            }));
-            tx.send(outcome).unwrap();
-        });
-        let outcome = rx
-            .recv_timeout(std::time::Duration::from_secs(60))
-            .expect("the stream returns instead of blocking");
-        runner
-            .join()
-            .expect("the runner catches the stream's panic");
-        outcome
-    }
-
-    #[test]
-    fn a_loop_panic_releases_a_waiting_helper() {
-        let payload = helper_stream_outcome(|arrivals| {
-            arrivals.peek();
-            panic!("event loop fails mid-stream")
-        })
-        .expect_err("the loop panicked");
-        assert_eq!(
-            payload.downcast_ref::<&str>(),
-            Some(&"event loop fails mid-stream")
+        assert!(borrows_core(true, heavy, 2, true));
+        assert!(borrows_core(true, 1e9, 64, true));
+        assert!(!borrows_core(false, heavy, 2, true), "closed loop");
+        assert!(!borrows_core(true, heavy - 1.0, 2, true), "short interval");
+        assert!(!borrows_core(true, 0.0, 2, true), "no load");
+        assert!(!borrows_core(true, heavy, 1, true), "one core");
+        assert!(
+            !borrows_core(true, heavy, 2, false),
+            "another engine stepping"
         );
     }
 
     #[test]
-    fn a_loop_that_stops_early_still_joins_its_helper() {
-        let taken = helper_stream_outcome(|arrivals| {
-            arrivals.peek();
-            arrivals.take_burst()
-        });
-        assert!(taken.expect("no panic") >= 1);
+    fn an_engine_steps_alone_only_between_consecutive_tickets() {
+        assert!(steps_alone(0, Some(6), 7), "nothing stepped in between");
+        assert!(!steps_alone(0, None, 7), "an engine's first step");
+        assert!(
+            !steps_alone(0, Some(5), 7),
+            "another engine stepped between"
+        );
+        assert!(!steps_alone(1, Some(6), 7), "another engine is stepping");
+    }
+
+    #[test]
+    fn an_engine_stepping_keeps_others_inline() {
+        // Other tests step engines concurrently, so only refusals hold.
+        let (mut a, mut b) = (None, None);
+        let first = Stepping::enter(&mut a);
+        let second = Stepping::enter(&mut b);
+        assert!(!second.alone, "the first interval is still stepping");
+        let start = Start::Gated(&UNCAPPED);
+        assert!(start.admits(10.0 * HELPER_MIN_REQUESTS, &second).is_none());
+        drop((first, second));
+        let (third, fourth) = (Stepping::enter(&mut a), Stepping::enter(&mut b));
+        assert!(
+            !third.alone,
+            "the other engine stepped since the first's last step"
+        );
+        drop((third, fourth));
+    }
+
+    #[test]
+    fn a_budget_hands_out_its_slots_and_takes_them_back() {
+        static TWO: Budget = Budget::new(|| 2);
+        let (a, b) = (TWO.claim(), TWO.claim());
+        assert!(a.is_some() && b.is_some());
+        assert!(TWO.claim().is_none(), "both slots are live");
+        drop(a);
+        assert!(TWO.claim().is_some(), "a dropped slot is free again");
+        drop(b);
+        assert_eq!(TWO.live.load(Ordering::Relaxed), 0);
     }
 }

@@ -2,33 +2,44 @@
 //! time under a given configuration, producing the observations the Hipster
 //! QoS Monitor consumes (tail latency, load, power, batch IPS).
 //!
-//! # Arrival generator and event loop
+//! # Demand stream and event loop
 //!
-//! An open-loop interval runs as two parts: an arrival generator that
-//! draws the interval's arrival events, burst sizes and request demands
-//! (`arrivals.rs`), and the event loop that serves them on the node. The
-//! loop still draws each request's straggle and hedge on its own stream,
-//! in request order. Nothing the node does feeds back into an open loop's
-//! arrivals, so the generator may run ahead of the loop on a helper thread
-//! while the loop consumes its output in chunks. Each stream is drawn in
-//! the same order either way, so the interval's outputs are bit-identical
-//! wherever the generator runs.
+//! An open-loop interval's event loop draws each arrival gap from the
+//! arrival stream, since gaps follow the offered rate, and reads each
+//! arrival's burst size and demands from the demand stream, which never
+//! depends on the load (`arrivals.rs`). It draws each request's straggle
+//! and hedge on a third stream, in request order. Because nothing the node
+//! does feeds back into an open loop's demands, the demand stream may be
+//! drawn ahead of the loop, across intervals, by a generator thread. Each
+//! stream is drawn in the same order either way, so the engine's outputs
+//! are bit-identical wherever and whenever its demands are drawn.
 //!
-//! The generator borrows a core, as a scoped helper thread that lives for
-//! one interval, only when all of these hold: the interval is open-loop;
-//! it expects at least `HELPER_MIN_REQUESTS` (4096) requests, rate ×
-//! interval length, where a spawn and join costs about 46 µs; the process
-//! may run on two or more cores; and no other engine in the process is
-//! stepping, as in the cluster tier's parallel node stage or a
-//! multi-worker fleet. Otherwise the generator runs inline, drawing each
-//! event as the loop takes it. Closed-loop intervals, whose arrivals wait
-//! on completions, always run on one thread.
+//! An engine starts its generator at the first interval that passes the
+//! gate: the interval is open-loop; it expects at least
+//! `HELPER_MIN_REQUESTS` (4096) requests, rate × interval length; the
+//! process may run on two or more cores; the engine steps alone, with no
+//! other engine in the process stepping now or since its previous step,
+//! unlike the nodes of a cluster or the engines of a multi-worker fleet;
+//! and fewer than `host_cores() − 1` generators are alive in the process. The engine keeps the generator until it drops,
+//! and every later open-loop interval reads from it. Until then the loop
+//! draws each burst and demand as it takes it. Closed-loop intervals,
+//! whose arrivals wait on completions, always run on one thread.
+//!
+//! The model is shared with the generator behind a lock, which the
+//! generator takes once per chunk. A step that reads from the generator
+//! never takes it: `Engine::new` tabulates the model's service speeds for
+//! every DVFS level. Inline and closed-loop intervals take it once.
+
+use std::ops::Deref;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use hipster_platform::{
     CoreConfig, CoreId, CoreKind, EnergyMeter, Frequency, PerfCounters, Platform, PowerBreakdown,
 };
 
-use crate::arrivals::{self, ArrivalGen, Arrivals, Conduit, Site};
+use crate::arrivals::{
+    self, DemandStream, Demands, Gaps, InlineDemands, SharedModel, Start, Stepping,
+};
 use crate::costs::{ContentionModel, ReconfigCosts};
 use crate::dist::{self, BoundedPareto, Exponential};
 use crate::fault::{FaultPlan, FaultSpec, FaultState, HedgeSpec};
@@ -180,7 +191,16 @@ impl IntervalStats {
 #[derive(Debug)]
 pub struct Engine {
     platform: Platform,
-    lc: Box<dyn LcModel>,
+    /// Where the demand stream is drawn. Declared before `lc`, so that an
+    /// engine's drop joins its generator thread before the model drops,
+    /// and the model drops on the engine's thread.
+    demands: DemandStream,
+    /// The model, shared with the generator thread when one runs.
+    lc: SharedModel,
+    /// `lc.service_speed` at every DVFS level of both clusters, tabulated
+    /// at construction: a step validates its frequencies against the
+    /// platform, so it never asks the model.
+    speeds: Vec<(CoreKind, Frequency, f64)>,
     load: Box<dyn LoadPattern>,
     batch_pool: Vec<Box<dyn BatchProgram>>,
     costs: ReconfigCosts,
@@ -188,7 +208,6 @@ pub struct Engine {
     node: ServiceNode,
     counters: PerfCounters,
     meter: EnergyMeter,
-    demand_rng: SimRng,
     arrival_rng: SimRng,
     now: f64,
     interval_s: f64,
@@ -233,10 +252,9 @@ pub struct Engine {
     small_busy_buf: Vec<f64>,
     /// Completion times collected by the closed-loop event loop.
     completions_buf: Vec<f64>,
-    /// The chunk buffers and channels that carry the open-loop arrival
-    /// stream from a helper thread, recycled across intervals; built at the
-    /// first interval whose generator borrows a core.
-    conduit: Option<Conduit>,
+    /// The process-wide ticket of this engine's previous step, which tells
+    /// whether another engine stepped since (see `arrivals::Stepping`).
+    step_ticket: Option<u64>,
     /// The run seed, kept so the fault stream can be derived lazily from
     /// its own dedicated fork without disturbing demand/arrival/jitter.
     seed: u64,
@@ -323,9 +341,21 @@ impl Engine {
         let lc_mean_burst = lc.mean_burst().max(1.0);
         let lc_qos = lc.qos();
         let lc_closed_loop = lc.closed_loop();
+        let speeds = CoreKind::ALL
+            .iter()
+            .flat_map(|&kind| {
+                let lc = &lc;
+                platform
+                    .cluster(kind)
+                    .freq_levels()
+                    .map(move |f| (kind, f, lc.service_speed(kind, f)))
+            })
+            .collect();
         Engine {
+            demands: DemandStream::Inline(root.fork("demand")),
+            lc: Arc::new(Mutex::new(lc)),
+            speeds,
             platform,
-            lc,
             load,
             batch_pool: Vec::new(),
             costs: ReconfigCosts::juno_defaults(),
@@ -333,7 +363,6 @@ impl Engine {
             node,
             counters: PerfCounters::new(num_cores, false),
             meter: EnergyMeter::new(),
-            demand_rng: root.fork("demand"),
             arrival_rng: root.fork("arrival"),
             now: 0.0,
             interval_s: 1.0,
@@ -357,7 +386,7 @@ impl Engine {
             big_busy_buf: Vec::new(),
             small_busy_buf: Vec::new(),
             completions_buf: Vec::new(),
-            conduit: None,
+            step_ticket: None,
             seed,
             faults: None,
             external_fault: FaultState::Healthy,
@@ -540,9 +569,13 @@ impl Engine {
         &self.platform
     }
 
-    /// The latency-critical workload model.
-    pub fn lc_model(&self) -> &dyn LcModel {
-        self.lc.as_ref()
+    /// The latency-critical workload model, behind the lock the engine
+    /// shares with its demand generator. The returned guard holds that lock
+    /// until it drops, so a caller must not hold two at once, for example
+    /// by calling this twice in one expression: the second call would wait
+    /// for the first guard forever.
+    pub fn lc_model(&self) -> impl Deref<Target = dyn LcModel> + '_ {
+        ModelGuard(arrivals::lock_model(&self.lc))
     }
 
     /// The monitoring interval length, seconds.
@@ -566,14 +599,15 @@ impl Engine {
     ///
     /// Panics if `cfg` is invalid for the platform or allocates zero cores
     /// to the latency-critical workload, and with the model's own payload
-    /// if the model panics, also when it panics on a helper thread.
+    /// if the model panics, also when it panics on the generator thread:
+    /// then from the step whose interval reaches the draw that panicked.
     pub fn step(&mut self, cfg: MachineConfig) -> IntervalStats {
-        self.step_with(cfg, None)
+        self.step_with(cfg, Start::Gated(&arrivals::GENERATORS))
     }
 
-    /// [`Engine::step`], with the arrival generator at `site` when given
-    /// (the tests run both sites) and where the gate puts it otherwise.
-    fn step_with(&mut self, cfg: MachineConfig, site: Option<Site>) -> IntervalStats {
+    /// [`Engine::step`], starting the demand generator as `start` says (the
+    /// tests start it at chosen intervals, or never).
+    fn step_with(&mut self, cfg: MachineConfig, start: Start) -> IntervalStats {
         self.platform
             .validate(&CoreConfig::new(
                 cfg.lc.n_big,
@@ -600,12 +634,14 @@ impl Engine {
         let slowdown = self.lc_slowdown(on_lc_clusters, batch_cores.len());
 
         // LC server specs: big servers first, then small (reused buffer).
+        let big_speed = self.speed(CoreKind::Big, cfg.big_freq);
+        let small_speed = self.speed(CoreKind::Small, cfg.small_freq);
         self.specs_buf.clear();
         for _ in 0..cfg.lc.n_big {
             self.specs_buf.push(ServerSpec {
                 kind: CoreKind::Big,
                 freq: cfg.big_freq,
-                speed: self.lc.service_speed(CoreKind::Big, cfg.big_freq),
+                speed: big_speed,
                 slowdown,
             });
         }
@@ -613,7 +649,7 @@ impl Engine {
             self.specs_buf.push(ServerSpec {
                 kind: CoreKind::Small,
                 freq: cfg.small_freq,
-                speed: self.lc.service_speed(CoreKind::Small, cfg.small_freq),
+                speed: small_speed,
                 slowdown,
             });
         }
@@ -722,11 +758,15 @@ impl Engine {
         let frac = self.load.load_at(self.now).max(0.0);
         let rate = frac * self.lc_max_load_rps;
         // The interval stays registered as stepping until this step returns.
-        let (gated, _stepping) =
-            arrivals::choose_site(self.lc_closed_loop.is_none(), rate * self.interval_s);
+        let stepping = Stepping::enter(&mut self.step_ticket);
         self.pending_kick = match self.lc_closed_loop {
             Some(cl) => self.run_events_closed(t_end, frac, kick_at, cl),
-            None => self.run_events(t_end, rate, kick_at, site.unwrap_or(gated)),
+            None => {
+                if let Some(budget) = start.admits(rate * self.interval_s, &stepping) {
+                    self.demands.run_ahead(&self.lc, budget);
+                }
+                self.run_events(t_end, rate, kick_at)
+            }
         };
 
         let node_iv = self.node.end_interval(t_end, self.lc_qos.percentile);
@@ -746,6 +786,16 @@ impl Engine {
         self.now = t_end;
         self.index += 1;
         stats
+    }
+
+    /// The model's service speed on a core of `kind` at `freq`, from the
+    /// table built at construction.
+    fn speed(&self, kind: CoreKind, freq: Frequency) -> f64 {
+        self.speeds
+            .iter()
+            .find(|&&(k, f, _)| k == kind && f == freq)
+            .map(|&(_, _, speed)| speed)
+            .expect("the step validated its frequencies against the platform")
     }
 
     /// Classifies the transition into (preempt?, stall seconds, migrated
@@ -793,41 +843,29 @@ impl Engine {
         s.max(1.0)
     }
 
-    /// Open-loop interval up to `t_end`: an arrival generator draws the
-    /// interval's arrival stream and [`event_loop`] serves it, with the
-    /// generator at `site` (inline, drawing each event as the loop takes
-    /// it, or on a scoped helper thread up to three chunks ahead; see the
-    /// module docs for the gate). The generator draws gaps, bursts and
-    /// demands in one order at either site, so both give the same bits.
-    /// Returns the kick still owed when `kick_at` falls at or after
-    /// `t_end`.
-    fn run_events(
-        &mut self,
-        t_end: f64,
-        rate: f64,
-        kick_at: Option<f64>,
-        site: Site,
-    ) -> Option<f64> {
+    /// Open-loop interval up to `t_end`: [`event_loop`] draws the
+    /// interval's gaps and reads its bursts and demands from the demand
+    /// stream, inline under the model's lock or from the generator, which
+    /// draws them in the same order. Returns the kick still owed when
+    /// `kick_at` falls at or after `t_end`.
+    fn run_events(&mut self, t_end: f64, rate: f64, kick_at: Option<f64>) -> Option<f64> {
         // Arrival *events* carry bursts of requests; thin the event rate so
         // the request rate equals the offered load. The distribution is
         // cached across intervals and only rebuilt when the offered load
         // actually changes.
         let event_rate = rate / self.lc_mean_burst;
         let iat = (event_rate > 0.0).then(|| cached_exp(&mut self.iat_cache, event_rate));
-        let mut gen = ArrivalGen::new(
-            &mut *self.lc,
-            &mut self.demand_rng,
-            &mut self.arrival_rng,
-            iat,
-            self.now,
-            t_end,
-        );
-        let (node, req_faults) = (&mut self.node, &mut self.req_faults);
-        match site {
-            Site::Inline => event_loop(node, req_faults, &mut gen, t_end, kick_at),
-            Site::Helper => arrivals::relay(gen, &mut self.conduit, |relay| {
-                event_loop(node, req_faults, relay, t_end, kick_at)
-            }),
+        let mut gaps = Gaps::new(iat, &mut self.arrival_rng, t_end);
+        let (node, req_faults, now) = (&mut self.node, &mut self.req_faults, self.now);
+        match &mut self.demands {
+            DemandStream::Inline(rng) => {
+                let lc = arrivals::lock_model(&self.lc);
+                let mut inline = InlineDemands { lc: &**lc, rng };
+                event_loop(node, req_faults, &mut gaps, &mut inline, now, kick_at)
+            }
+            DemandStream::RunAhead(generator) => {
+                event_loop(node, req_faults, &mut gaps, generator, now, kick_at)
+            }
         }
     }
 
@@ -865,6 +903,10 @@ impl Engine {
                 .retire_latest((population - target).min(self.thinking.len()));
         }
 
+        let DemandStream::Inline(demand_rng) = &mut self.demands else {
+            unreachable!("a closed loop never starts a demand generator")
+        };
+        let lc = arrivals::lock_model(&self.lc);
         let mut completions = std::mem::take(&mut self.completions_buf);
         loop {
             let mut t = t_end;
@@ -898,7 +940,7 @@ impl Engine {
                 1 => {}
                 2 => {
                     self.thinking.pop_min().expect("think expiry exists");
-                    let demand = self.lc.sample_demand(&mut self.demand_rng);
+                    let demand = lc.sample_demand(demand_rng);
                     let demand = straggle(&mut self.req_faults, demand);
                     self.node.arrive(t, demand);
                 }
@@ -1078,17 +1120,21 @@ impl Engine {
     }
 }
 
-/// The open-loop event loop: serves `arrivals` on `node` until `t_end`,
-/// drawing each request's straggle as it arrives. Returns the kick still
-/// owed when `kick_at` falls at or after `t_end`.
+/// The open-loop event loop: serves the arrivals of the interval from
+/// `start` to `gaps.t_end` on `node`, taking each arrival's burst and
+/// demands from `demands` and drawing each request's straggle as it
+/// arrives. Returns the kick still owed when `kick_at` falls at or after
+/// the interval end.
 fn event_loop(
     node: &mut ServiceNode,
     req_faults: &mut Option<ReqFaults>,
-    arrivals: &mut impl Arrivals,
-    t_end: f64,
+    gaps: &mut Gaps<'_>,
+    demands: &mut impl Demands,
+    start: f64,
     mut kick_at: Option<f64>,
 ) -> Option<f64> {
-    let mut next_arrival = arrivals.peek();
+    let t_end = gaps.t_end;
+    let mut next_arrival = gaps.after(start);
     loop {
         let tc = node.next_completion();
         // Earliest of: completion, arrival, kick — within the interval.
@@ -1117,11 +1163,12 @@ fn event_loop(
             0 => break,
             1 => {} // advance() already completed it
             2 => {
-                for _ in 0..arrivals.take_burst() {
-                    let demand = straggle(req_faults, arrivals.demand());
+                let burst = demands.burst();
+                next_arrival = gaps.after(t);
+                for _ in 0..burst {
+                    let demand = straggle(req_faults, demands.demand());
                     node.arrive(t, demand);
                 }
-                next_arrival = arrivals.peek();
             }
             3 => {
                 node.kick(t);
@@ -1131,6 +1178,17 @@ fn event_loop(
         }
     }
     kick_at
+}
+
+/// A locked model, dereferencing to the model rather than its box.
+struct ModelGuard<'a>(MutexGuard<'a, Box<dyn LcModel>>);
+
+impl Deref for ModelGuard<'_> {
+    type Target = dyn LcModel;
+
+    fn deref(&self) -> &Self::Target {
+        &**self.0
+    }
 }
 
 /// Returns the exponential distribution for `rate`, reusing `cache` when
@@ -1151,22 +1209,24 @@ fn cached_exp(cache: &mut Option<(f64, Exponential)>, rate: f64) -> Exponential 
 mod tests {
     use std::cell::Cell;
     use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::mpsc;
     use std::time::Duration;
 
-    use hipster_platform::Frequency;
-
     use super::*;
+    use crate::arrivals::{Budget, CHUNK_BURSTS};
     use crate::dist::LogNormal;
 
     /// A Memcached-like service: lognormal compute demand, a fixed memory
     /// part, geometric bursts, an optional client timeout, and a demand
-    /// draw that can be told to panic.
+    /// draw that can be told to panic, first reporting the draw on
+    /// `tripped`.
     #[derive(Debug)]
     struct Service {
         max_rps: f64,
         burst_mean: f64,
         timeout: Option<f64>,
         panic_at: Option<u64>,
+        tripped: Option<mpsc::Sender<u64>>,
         drawn: Cell<u64>,
     }
 
@@ -1176,9 +1236,13 @@ mod tests {
             burst_mean,
             timeout: None,
             panic_at: None,
+            tripped: None,
             drawn: Cell::new(0),
         }
     }
+
+    /// Lets every test start as many generators as it asks for.
+    static UNCAPPED: Budget = Budget::new(|| usize::MAX);
 
     impl LcModel for Service {
         fn name(&self) -> &str {
@@ -1194,6 +1258,9 @@ mod tests {
             let k = self.drawn.get() + 1;
             self.drawn.set(k);
             if self.panic_at == Some(k) {
+                if let Some(tripped) = &self.tripped {
+                    let _ = tripped.send(k);
+                }
                 panic!("service model fails on demand draw {k}");
             }
             Demand::new(LogNormal::from_median(50.0, 0.6).sample(rng), 20e-6)
@@ -1265,21 +1332,32 @@ mod tests {
         exercised: fn(&Run) -> bool,
     }
 
-    /// Steps one engine per generator site (forced inline, forced helper,
-    /// and wherever the gate puts it) through the same configurations.
+    /// Steps one engine per demand site through the same configurations:
+    /// inline throughout, with a generator from interval 0, and with one
+    /// started halfway.
     fn run_sites(arm: &Arm) -> [Run; 3] {
-        [Some(Site::Inline), Some(Site::Helper), None].map(|site| {
+        [None, Some(0), Some(arm.intervals / 2)].map(|start_at| {
             let mut engine = (arm.build)();
             let mut kick_carried = false;
             let stats = (0..arm.intervals)
                 .map(|k| {
                     (arm.before)(&mut engine, k);
+                    let start = match start_at {
+                        Some(at) if k >= at => Start::Now(&UNCAPPED),
+                        _ => Start::Never,
+                    };
                     let c = cfg(arm.configs[k % arm.configs.len()]);
-                    let s = engine.step_with(c, site);
+                    let s = engine.step_with(c, start);
                     kick_carried |= engine.pending_kick.is_some();
                     s
                 })
                 .collect();
+            assert_eq!(
+                engine.demands.runs_ahead(),
+                start_at.is_some(),
+                "{}: generator from interval {start_at:?}",
+                arm.name
+            );
             Run {
                 stats,
                 straggles: engine.request_straggles(),
@@ -1305,8 +1383,6 @@ mod tests {
     const ARMS: [Arm; 7] = [
         Arm {
             name: "bursts, DVFS changes and remaps",
-            // Half-second intervals at 0.6 and 0.8 reach the gate's
-            // threshold, so the gated engine mixes both sites.
             build: || engine(service(20_000.0, 10.0), &[0.6, 0.3, 0.8], 0.5, 1),
             configs: &["2B-1.15", "2B-0.90", "1B2S-1.15", "2B4S-1.15"],
             intervals: 12,
@@ -1390,42 +1466,161 @@ mod tests {
     #[test]
     fn generator_sites_step_identical_intervals() {
         for arm in &ARMS {
-            let [inline, helper, gated] = run_sites(arm);
-            assert!(helper == inline, "{}: helper differs from inline", arm.name);
-            assert!(gated == inline, "{}: gated differs from inline", arm.name);
+            let [inline, from_start, halfway] = run_sites(arm);
+            assert!(
+                from_start == inline,
+                "{}: a generator from interval 0 differs from inline",
+                arm.name
+            );
+            assert!(
+                halfway == inline,
+                "{}: a generator started halfway differs from inline",
+                arm.name
+            );
             assert!(inline.stats.iter().any(|s| s.arrivals > 0), "{}", arm.name);
             assert!((arm.exercised)(&inline), "{} is not exercised", arm.name);
         }
     }
 
+    /// Runs `f` on a thread of its own and returns its result, failing
+    /// instead of hanging if it blocks (a hand-off or a join left waiting).
+    fn within_two_minutes<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = mpsc::channel();
+        let runner = std::thread::spawn(move || tx.send(f()).expect("the test waits"));
+        let out = rx
+            .recv_timeout(Duration::from_secs(120))
+            .expect("returns instead of blocking");
+        runner.join().expect("the runner sent its result");
+        out
+    }
+
+    /// An engine with unit bursts at 100 requests per 0.1 s interval, its
+    /// demand draw `panic_at` failing.
+    fn unit_bursts(panic_at: Option<u64>, tripped: Option<mpsc::Sender<u64>>) -> Engine {
+        let lc = Service {
+            panic_at,
+            tripped,
+            ..service(2000.0, 1.0)
+        };
+        engine(lc, &[0.5], 0.1, 8)
+    }
+
     #[test]
-    fn a_model_panic_surfaces_from_step_with_its_own_message() {
-        for site in [Site::Inline, Site::Helper] {
-            let lc = Service {
-                panic_at: Some(5_000),
-                ..service(20_000.0, 10.0)
-            };
-            let mut e = engine(lc, &[0.5], 1.0, 8);
-            // Step on a thread of its own, so that a blocked hand-off fails
-            // the test instead of hanging it. `step` returning at all means
-            // its scope joined the helper, which then waits on no channel.
-            let (tx, rx) = std::sync::mpsc::channel();
-            let runner = std::thread::spawn(move || {
-                let caught =
-                    catch_unwind(AssertUnwindSafe(|| e.step_with(cfg("2B-1.15"), Some(site))));
-                let payload = caught.expect_err("demand draw 5000 panics");
-                let msg = payload
+    fn a_generator_panic_surfaces_from_the_step_that_reaches_it() {
+        let reference: Vec<IntervalStats> = {
+            let mut e = unit_bursts(None, None);
+            (0..12)
+                .map(|_| e.step_with(cfg("2B-1.15"), Start::Never))
+                .collect()
+        };
+        // Unit bursts draw one demand per arrival, and fill each chunk with
+        // `CHUNK_BURSTS` of them: draw n (from 1) sits in chunk
+        // (n − 1) / CHUNK_BURSTS. Find an interval k whose last draw shares
+        // a chunk with interval k + 1's first, that chunk having begun in k.
+        let drawn: Vec<u64> = reference
+            .iter()
+            .scan(0, |n, s| {
+                *n += s.arrivals as u64;
+                Some(*n)
+            })
+            .collect();
+        let chunk = |n: u64| (n - 1) / CHUNK_BURSTS as u64;
+        let k = (1..drawn.len() - 1)
+            .find(|&k| {
+                let (before, last, next) = (drawn[k - 1], drawn[k], drawn[k + 1]);
+                next > last && chunk(last + 1) == chunk(last) && chunk(last) > chunk(before)
+            })
+            .expect("a chunk that began in one interval straddles into the next");
+        let panic_at = drawn[k] + 1;
+        for start in [Start::Never, Start::Now(&UNCAPPED)] {
+            let before = reference[..=k].to_vec();
+            let msg = within_two_minutes(move || {
+                let mut e = unit_bursts(Some(panic_at), None);
+                for (i, want) in before.iter().enumerate() {
+                    let got = e.step_with(cfg("2B-1.15"), start);
+                    assert!(got == *want, "{start:?}: step {i} differs from inline");
+                }
+                let caught = catch_unwind(AssertUnwindSafe(|| e.step_with(cfg("2B-1.15"), start)));
+                let payload = caught.expect_err("the next step reaches the panicking draw");
+                if let Start::Now(_) = start {
+                    // The generator ended at the panic: a later step panics
+                    // too, instead of waiting for a chunk that never comes.
+                    let again =
+                        catch_unwind(AssertUnwindSafe(|| e.step_with(cfg("2B-1.15"), start)));
+                    let again = again.expect_err("the stream has ended");
+                    assert_eq!(
+                        again.downcast_ref::<&str>(),
+                        Some(&"the demand stream ended at a model panic already raised")
+                    );
+                }
+                payload
                     .downcast_ref::<String>()
                     .cloned()
-                    .unwrap_or_default();
-                tx.send(msg).unwrap();
+                    .unwrap_or_default()
             });
-            let msg = rx
-                .recv_timeout(Duration::from_secs(120))
-                .expect("step returns instead of blocking");
-            runner.join().unwrap();
-            assert_eq!(msg, "service model fails on demand draw 5000", "{site:?}");
+            assert_eq!(
+                msg,
+                format!("service model fails on demand draw {panic_at}"),
+                "{start:?}"
+            );
         }
+    }
+
+    #[test]
+    fn a_panic_the_run_never_reaches_drops_with_the_engine() {
+        within_two_minutes(|| {
+            let (tx, rx) = mpsc::channel();
+            let mut e = unit_bursts(Some(150), Some(tx));
+            let stats = e.step_with(cfg("2B-1.15"), Start::Now(&UNCAPPED));
+            assert!(stats.arrivals < 150, "the step stops short of the panic");
+            let tripped = rx.recv().expect("the generator draws ahead");
+            assert_eq!(tripped, 150, "the generator reached the panicking draw");
+            drop(e);
+        });
+    }
+
+    #[test]
+    fn engines_stepped_in_turn_never_start_a_generator() {
+        // A cluster's node stage steps its nodes in turn, so each node sees
+        // the others' steps between its own and none starts a generator,
+        // however heavy its load (4800 expected requests an interval here).
+        let heavy = || engine(service(60_000.0, 10.0), &[0.8], 0.1, 10);
+        let mut nodes = [heavy(), heavy()];
+        for _ in 0..6 {
+            for node in &mut nodes {
+                node.step_with(cfg("2B4S-1.15"), Start::Gated(&UNCAPPED));
+            }
+        }
+        assert!(nodes.iter().all(|node| !node.demands.runs_ahead()));
+    }
+
+    #[test]
+    fn a_spent_budget_keeps_an_engine_inline_until_a_drop_frees_its_slot() {
+        static ONE: Budget = Budget::new(|| 1);
+        let build = || engine(service(20_000.0, 10.0), &[0.6], 0.1, 9);
+        let steps = |e: &mut Engine, start: Start| -> Vec<IntervalStats> {
+            (0..4).map(|_| e.step_with(cfg("2B-1.15"), start)).collect()
+        };
+        let inline = steps(&mut build(), Start::Never);
+        let mut holder = build();
+        assert!(steps(&mut holder, Start::Now(&ONE)) == inline);
+        assert!(
+            holder.demands.runs_ahead(),
+            "the first engine takes the slot"
+        );
+        let mut refused = build();
+        assert!(steps(&mut refused, Start::Now(&ONE)) == inline);
+        assert!(
+            !refused.demands.runs_ahead(),
+            "a spent budget keeps the second engine inline"
+        );
+        drop(holder);
+        let mut next = build();
+        assert!(steps(&mut next, Start::Now(&ONE)) == inline);
+        assert!(
+            next.demands.runs_ahead(),
+            "the dropped engine's slot is free"
+        );
     }
 
     #[test]

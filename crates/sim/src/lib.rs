@@ -76,6 +76,7 @@ mod topology;
 mod trace;
 mod traits;
 
+pub use arrivals::host_cores;
 pub use config::{EngineSpec, EngineSpecError};
 pub use costs::{ContentionModel, ReconfigCosts};
 pub use engine::{Engine, IntervalStats, MachineConfig, DEFAULT_JITTER_SIGMA};

@@ -15,14 +15,20 @@ use crate::rng::SimRng;
 ///
 /// # Threads
 ///
-/// In an open loop the engine may draw an interval's bursts and demands on
-/// a helper thread while its event loop serves them. For that interval the
-/// helper has exclusive `&mut` access to the model, which the `Send` bound
-/// already allows (no `Sync` is needed), and calls
-/// [`LcModel::sample_burst`] and [`LcModel::sample_demand`] from there. So
-/// those two must draw only from the `rng` passed in: a model that kept
-/// its own randomness, or read thread-local state, would give different
-/// bits depending on where the draws ran.
+/// In an open loop the engine may hand its demand stream to a generator
+/// thread of its own, which calls [`LcModel::sample_burst`] and
+/// [`LcModel::sample_demand`] from there, under a lock the engine shares
+/// with it (so the `Send` bound is enough; no `Sync` is needed). The
+/// generator runs up to one ring of chunks (16 × 512 demands) ahead of the
+/// event loop, across interval boundaries, so it may make draws that a run
+/// never uses, and an engine dropped mid-run drops them. Those two methods
+/// must therefore draw only from the `rng` passed in: a model that kept its
+/// own randomness, or read thread-local state, would give different bits
+/// depending on where and when the draws ran.
+///
+/// [`LcModel::service_speed`] must be a pure function of its arguments:
+/// the engine tabulates it for every DVFS level of both clusters when it is
+/// built, and never calls it again.
 pub trait LcModel: std::fmt::Debug + Send {
     /// Workload name as the paper spells it (e.g. `Memcached`).
     fn name(&self) -> &str;

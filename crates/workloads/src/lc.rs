@@ -213,22 +213,27 @@ impl LcWorkloadBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if any parameter is non-positive where positivity is
-    /// required, or if a closed loop's think time is negative or not
-    /// finite (zero is allowed).
+    /// Panics, naming the parameter, if any parameter is infinite or NaN,
+    /// or non-positive where positivity is required: the max load, work
+    /// mean, big-core speed and timeout must be positive, the work sigma,
+    /// memory time and a closed loop's think time non-negative, and the
+    /// IPC penalty and burst mean at least 1.
     pub fn build(self) -> LcWorkload {
-        assert!(self.max_load_rps > 0.0, "max load must be positive");
-        assert!(self.work_mean > 0.0, "work mean must be positive");
-        assert!(self.big_speed_anchor > 0.0, "speed must be positive");
-        assert!(self.small_ipc_penalty >= 1.0, "IPC penalty must be ≥ 1");
-        assert!(self.burst_mean >= 1.0, "burst mean must be ≥ 1");
-        assert!(self.mem_s >= 0.0, "memory time must be non-negative");
+        let positive = |x: f64| x > 0.0;
+        let non_negative = |x: f64| x >= 0.0;
+        let at_least_one = |x: f64| x >= 1.0;
+        require("max load", self.max_load_rps, "positive", positive);
+        require("work mean", self.work_mean, "positive", positive);
+        require("work sigma", self.work_sigma, "non-negative", non_negative);
+        require("memory time", self.mem_s, "non-negative", non_negative);
+        require("big speed", self.big_speed_anchor, "positive", positive);
+        require("IPC penalty", self.small_ipc_penalty, "≥ 1", at_least_one);
+        require("burst mean", self.burst_mean, "≥ 1", at_least_one);
+        if let Some(timeout) = self.timeout_s {
+            require("timeout", timeout, "positive", positive);
+        }
         if let Some(cl) = self.closed_loop {
-            let think = cl.think_mean_s;
-            assert!(
-                think.is_finite() && think >= 0.0,
-                "think time must be finite and non-negative: {think}"
-            );
+            require("think time", cl.think_mean_s, "non-negative", non_negative);
         }
         // LogNormal mean = median * exp(sigma²/2)  ⇒  median from mean.
         let median = self.work_mean / (self.work_sigma * self.work_sigma / 2.0).exp();
@@ -247,6 +252,15 @@ impl LcWorkloadBuilder {
             timeout_s: self.timeout_s,
         }
     }
+}
+
+/// Asserts that the builder parameter `what` is finite and meets `rule`
+/// (`holds`), naming both when it is not.
+fn require(what: &str, x: f64, rule: &str, holds: impl Fn(f64) -> bool) {
+    assert!(
+        x.is_finite() && holds(x),
+        "{what} must be finite and {rule}: {x}"
+    );
 }
 
 #[cfg(test)]
@@ -353,5 +367,44 @@ mod tests {
     #[should_panic(expected = "think time")]
     fn builder_rejects_nan_think_time() {
         let _ = LcWorkload::builder("x").closed_loop(96, f64::NAN).build();
+    }
+
+    #[test]
+    #[should_panic(expected = "burst mean must be finite and ≥ 1: inf")]
+    fn builder_rejects_infinite_burst_mean() {
+        let _ = LcWorkload::builder("x").burst_mean(f64::INFINITY).build();
+    }
+
+    #[test]
+    #[should_panic(expected = "max load must be finite and positive: inf")]
+    fn builder_rejects_infinite_max_load() {
+        let _ = LcWorkload::builder("x").max_load_rps(f64::INFINITY).build();
+    }
+
+    #[test]
+    #[should_panic(expected = "memory time must be finite and non-negative: inf")]
+    fn builder_rejects_infinite_memory_time() {
+        let _ = LcWorkload::builder("x").mem_seconds(f64::INFINITY).build();
+    }
+
+    #[test]
+    #[should_panic(expected = "big speed must be finite and positive: inf")]
+    fn builder_rejects_infinite_speed() {
+        let f = Frequency::from_mhz(1150);
+        let _ = LcWorkload::builder("x").big_speed(f64::INFINITY, f).build();
+    }
+
+    #[test]
+    #[should_panic(expected = "IPC penalty must be finite and ≥ 1: inf")]
+    fn builder_rejects_infinite_ipc_penalty() {
+        let _ = LcWorkload::builder("x")
+            .small_ipc_penalty(f64::INFINITY)
+            .build();
+    }
+
+    #[test]
+    #[should_panic(expected = "work sigma must be finite and non-negative: NaN")]
+    fn builder_rejects_nan_sigma() {
+        let _ = LcWorkload::builder("x").work(50.0, f64::NAN).build();
     }
 }
