@@ -19,7 +19,7 @@ use std::path::Path;
 use std::sync::Mutex;
 
 use hipster_core::cluster::{ClusterOutcome, ClusterSpec, DispatchPolicy, OverflowSpec};
-use hipster_core::{run_tasks, CellJournal, ClusterSummary};
+use hipster_core::{run_tasks, CellJournal, ClusterSummary, FleetStats};
 use hipster_platform::Platform;
 use hipster_sim::json::JsonObj;
 use hipster_workloads::{memcached_bursty, MmppLoad};
@@ -142,28 +142,55 @@ pub(crate) fn open_journal(dir: &Path, file: &str, resume: bool) -> Mutex<CellJo
     Mutex::new(journal.unwrap_or_else(|e| panic!("open cell journal: {e}")))
 }
 
-/// Looks up a previously journaled cell (resume mode only).
-pub(crate) fn restore(
+/// Resolves one sweep's cells in declaration order. With `resume`, cells
+/// already in the journal come back exactly as recorded; the rest run
+/// through the work-stealing scheduler ([`run_tasks`]), each journaled
+/// (fsync'd) on its worker the moment it finishes. Returns the cells and
+/// the scheduler's stats, `None` when every cell was restored.
+pub(crate) fn journaled_cells<F>(
     journal: Option<&Mutex<CellJournal>>,
     resume: bool,
-    name: &str,
-) -> Option<SweepCell> {
-    if !resume {
-        return None;
+    cells: Vec<(String, F)>,
+) -> (Vec<(String, SweepCell)>, Option<FleetStats>)
+where
+    F: FnOnce() -> SweepCell + Send,
+{
+    let restore = |name: &str| {
+        let journal = journal.filter(|_| resume)?.lock().expect("journal lock");
+        journal.get(name).and_then(SweepCell::from_json_obj)
+    };
+    let mut rows: Vec<(String, Option<SweepCell>)> = Vec::with_capacity(cells.len());
+    let mut tasks = Vec::new();
+    for (name, task) in cells {
+        let restored = restore(&name);
+        if restored.is_none() {
+            let key = name.clone();
+            tasks.push((name.clone(), move || {
+                let cell = task();
+                if let Some(journal) = journal {
+                    let mut journal = journal.lock().expect("journal lock");
+                    journal
+                        .put(&key, cell.to_json_obj())
+                        .unwrap_or_else(|e| panic!("journal cell {key}: {e}"));
+                }
+                cell
+            }));
+        }
+        rows.push((name, restored));
     }
-    let journal = journal?.lock().expect("journal lock");
-    journal.get(name).and_then(SweepCell::from_json_obj)
-}
-
-/// Journals a finished cell (no-op without a store).
-pub(crate) fn journal_cell(journal: Option<&Mutex<CellJournal>>, name: &str, cell: &SweepCell) {
-    if let Some(journal) = journal {
-        journal
-            .lock()
-            .expect("journal lock")
-            .put(name, cell.to_json_obj())
-            .unwrap_or_else(|e| panic!("journal cell {name}: {e}"));
-    }
+    let stats = (!tasks.is_empty()).then(|| {
+        let (fresh, stats) = run_tasks(tasks, 0).unwrap_or_else(|e| panic!("sweep failed: {e}"));
+        let holes = rows.iter_mut().filter(|(_, cell)| cell.is_none());
+        for ((_, hole), cell) in holes.zip(fresh) {
+            *hole = Some(cell);
+        }
+        stats
+    });
+    let rows = rows
+        .into_iter()
+        .map(|(name, cell)| (name, cell.expect("every cell restored or run")))
+        .collect();
+    (rows, stats)
 }
 
 /// Writes the deterministic digest manifest the CI kill-and-resume step
@@ -206,47 +233,22 @@ pub fn run(quick: bool, store_dir: Option<&Path>, resume: bool) {
     ]);
     let mut digest_rows: Vec<(String, SweepCell)> = Vec::new();
     for &nodes in &NODE_COUNTS {
-        // Declaration order is fixed; resume restores journaled cells and
-        // only the remainder go through the work-stealing scheduler.
-        let mut rows: Vec<(String, Option<SweepCell>)> = Vec::new();
-        let mut pending: Vec<(String, PolicyFn, u64)> = Vec::new();
-        for (i, (label, make)) in policies(quick).into_iter().enumerate() {
-            let name = format!("cluster/n{nodes}/{label}");
-            match restore(journal, resume, &name) {
-                Some(cell) => rows.push((name, Some(cell))),
-                None => {
-                    pending.push((name.clone(), make(quick), 90 + i as u64));
-                    rows.push((name, None));
-                }
-            }
-        }
-        let restored_count = rows.iter().filter(|(_, c)| c.is_some()).count();
-        let mut stats = None;
-        let mut executed = Vec::new();
-        if !pending.is_empty() {
-            let tasks: Vec<(String, _)> = pending
-                .into_iter()
-                .map(|(name, policy, seed)| {
-                    (name.clone(), move || {
-                        let out = cluster_spec(name, nodes, policy, intervals, seed)
-                            .build()
-                            .expect("valid cluster spec")
-                            .run();
-                        let cell = SweepCell::of(&out);
-                        journal_cell(journal, &out.name, &cell);
-                        cell
-                    })
+        let cells: Vec<(String, _)> = policies(quick)
+            .into_iter()
+            .enumerate()
+            .map(|(i, (label, make))| {
+                let name = format!("cluster/n{nodes}/{label}");
+                let policy = make(quick);
+                (name.clone(), move || {
+                    let spec = cluster_spec(name, nodes, policy, intervals, 90 + i as u64);
+                    SweepCell::of(&spec.build().expect("valid cluster spec").run())
                 })
-                .collect();
-            let (cells, s) = run_tasks(tasks, 0).expect("cluster sweep");
-            executed = cells;
-            stats = Some(s);
-        }
-        let mut fresh = executed.into_iter();
+            })
+            .collect();
+        let (rows, stats) = journaled_cells(journal, resume, cells);
+        let restored_count = rows.len() - stats.as_ref().map_or(0, |s| s.scenarios);
         let sim_s = intervals as f64 * 0.05;
-        for (name, restored) in rows {
-            let cell =
-                restored.unwrap_or_else(|| fresh.next().expect("one executed cell per pending"));
+        for (name, cell) in rows {
             let s = &cell.summary;
             let label = s.name.rsplit('/').next().unwrap_or(&s.name);
             let watts_per_node = s.total_energy_j / sim_s / (nodes - (nodes / 4).max(1)) as f64;

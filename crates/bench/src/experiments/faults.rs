@@ -45,7 +45,7 @@ use hipster_sim::{BatchProgram, FaultSpec, HedgeSpec, TopologySpec};
 use hipster_workloads::{domain_fault_preset, fault_preset, preset, MmppLoad};
 
 use crate::experiments::cluster::{
-    journal_cell, open_journal, restore, SweepCell, USD_PER_REQ_S, WATERMARK,
+    journaled_cells, open_journal, SweepCell, USD_PER_REQ_S, WATERMARK,
 };
 use crate::runner::{
     heuristic_mapper, hipster_in, scenario, static_all_big, static_all_small, PolicyFn, Workload,
@@ -465,60 +465,33 @@ pub fn run(quick: bool, store_dir: Option<&Path>, resume: bool) {
     let mut recovery_cells: Vec<RecoveryCell> = Vec::new();
     let mut digest_rows: Vec<(String, SweepCell)> = Vec::new();
     for preset_name in FAULT_PRESETS {
-        let mut cells: Vec<(String, Option<SweepCell>)> = Vec::new();
-        let mut pending: Vec<(String, bool)> = Vec::new();
-        for mitigation in [true, false] {
-            let tag = if mitigation { "on" } else { "off" };
-            let name = format!("faults/cluster/{preset_name}/{tag}");
-            match restore(journal, resume, &name) {
-                Some(cell) => cells.push((name, Some(cell))),
-                None => {
-                    pending.push((name.clone(), mitigation));
-                    cells.push((name, None));
-                }
-            }
-        }
-        let executed = if pending.is_empty() {
-            Vec::new()
-        } else {
-            let tasks: Vec<(String, _)> = pending
-                .into_iter()
-                .map(|(name, mitigation)| {
+        let cells: Vec<(String, _)> = [true, false]
+            .into_iter()
+            .map(|mitigation| {
+                let tag = if mitigation { "on" } else { "off" };
+                let name = format!("faults/cluster/{preset_name}/{tag}");
+                (name.clone(), move || {
                     // Static-Big per node: the highest fault-free QoS
                     // baseline (see the PR7 cluster table), so the
                     // ablation isolates the cluster resilience layer
                     // rather than per-node policy convergence.
-                    let policy = static_all_big();
-                    (name.clone(), move || {
-                        let out = faulty_cluster_spec(
-                            name,
-                            preset_name,
-                            FAULT_CLUSTER_NODES,
-                            policy,
-                            cluster_intervals,
-                            208,
-                            mitigation,
-                        )
-                        .build()
-                        .expect("valid faulted cluster spec")
-                        .run();
-                        let cell = SweepCell::of(&out);
-                        journal_cell(journal, &out.name, &cell);
-                        cell
-                    })
+                    let out = faulty_cluster_spec(
+                        name,
+                        preset_name,
+                        FAULT_CLUSTER_NODES,
+                        static_all_big(),
+                        cluster_intervals,
+                        208,
+                        mitigation,
+                    )
+                    .build()
+                    .expect("valid faulted cluster spec")
+                    .run();
+                    SweepCell::of(&out)
                 })
-                .collect();
-            run_tasks(tasks, 0).expect("fault ablation").0
-        };
-        let mut fresh = executed.into_iter();
-        let resolved: Vec<(String, SweepCell)> = cells
-            .into_iter()
-            .map(|(name, restored)| {
-                let cell = restored
-                    .unwrap_or_else(|| fresh.next().expect("one executed cell per pending"));
-                (name, cell)
             })
             .collect();
+        let (resolved, _) = journaled_cells(journal, resume, cells);
         let on = resolved[0].1.summary.clone();
         let off = resolved[1].1.summary.clone();
         digest_rows.extend(resolved);
@@ -568,55 +541,28 @@ pub fn run(quick: bool, store_dir: Option<&Path>, resume: bool) {
     ]);
     let mut wave_cells: Vec<WaveCell> = Vec::new();
     for preset_name in WAVE_PRESETS {
-        let mut cells: Vec<(String, Option<SweepCell>)> = Vec::new();
-        let mut pending: Vec<(String, bool)> = Vec::new();
-        for mitigation in [true, false] {
-            let tag = if mitigation { "on" } else { "off" };
-            let name = format!("faults/wave/{preset_name}/{tag}");
-            match restore(journal, resume, &name) {
-                Some(cell) => cells.push((name, Some(cell))),
-                None => {
-                    pending.push((name.clone(), mitigation));
-                    cells.push((name, None));
-                }
-            }
-        }
-        let executed = if pending.is_empty() {
-            Vec::new()
-        } else {
-            let tasks: Vec<(String, _)> = pending
-                .into_iter()
-                .map(|(name, mitigation)| {
-                    let policy = static_all_big();
-                    (name.clone(), move || {
-                        let out = zonewave_cluster_spec(
-                            name,
-                            FAULT_CLUSTER_NODES,
-                            policy,
-                            cluster_intervals,
-                            412,
-                            mitigation,
-                        )
-                        .build()
-                        .expect("valid zone-wave cluster spec")
-                        .run();
-                        let cell = SweepCell::of(&out);
-                        journal_cell(journal, &out.name, &cell);
-                        cell
-                    })
-                })
-                .collect();
-            run_tasks(tasks, 0).expect("wave ablation").0
-        };
-        let mut fresh = executed.into_iter();
-        let resolved: Vec<(String, SweepCell)> = cells
+        let cells: Vec<(String, _)> = [true, false]
             .into_iter()
-            .map(|(name, restored)| {
-                let cell = restored
-                    .unwrap_or_else(|| fresh.next().expect("one executed cell per pending"));
-                (name, cell)
+            .map(|mitigation| {
+                let tag = if mitigation { "on" } else { "off" };
+                let name = format!("faults/wave/{preset_name}/{tag}");
+                (name.clone(), move || {
+                    let out = zonewave_cluster_spec(
+                        name,
+                        FAULT_CLUSTER_NODES,
+                        static_all_big(),
+                        cluster_intervals,
+                        412,
+                        mitigation,
+                    )
+                    .build()
+                    .expect("valid zone-wave cluster spec")
+                    .run();
+                    SweepCell::of(&out)
+                })
             })
             .collect();
+        let (resolved, _) = journaled_cells(journal, resume, cells);
         let on = resolved[0].1.summary.clone();
         let off = resolved[1].1.summary.clone();
         digest_rows.extend(resolved);

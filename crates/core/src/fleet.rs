@@ -3,11 +3,15 @@
 //! scenario — and yields their outcomes in declaration order.
 //!
 //! Scheduling is **work-stealing**: every worker claims the next
-//! unstarted scenario from a shared atomic cursor the moment it goes
-//! idle, so heterogeneous fleets (a fig. 2/3-style heatmap mixes cheap
-//! low-load cells with expensive near-saturation ones) keep all cores
-//! busy to the end instead of leaving them idle behind the slowest
-//! statically assigned shard. Results stream back to the caller *as
+//! unstarted scenario, in declaration order, from one mutex-guarded job
+//! queue the moment it goes idle, so heterogeneous fleets (a fig.
+//! 2/3-style heatmap mixes cheap low-load cells with expensive
+//! near-saturation ones) keep all cores busy to the end instead of
+//! leaving them idle behind the slowest statically assigned shard.
+//! Workers send each result to the calling thread, which journals,
+//! reorders and reports it; with one worker every scenario runs on the
+//! calling thread and nothing is spawned. [`run_tasks`] runs any named
+//! closures through the same loop. Results stream back to the caller *as
 //! scenarios complete*: [`Fleet::run_each`] folds outcomes in declaration
 //! order through a callback (holding only out-of-order stragglers in a
 //! reorder buffer), and [`Fleet::run`] is the collect-everything
@@ -20,8 +24,7 @@
 //! seed and their index ([`split_seed`]), so one `base` reproduces a whole
 //! sweep.
 //!
-//! Sweeps can be made **durable**: [`Fleet::resume`] (and
-//! [`Fleet::run_each_stored`]) run against a
+//! Sweeps can be made **durable**: [`Fleet::resume`] runs against a
 //! [`SweepStore`](crate::store::SweepStore) — every finished scenario is
 //! journaled as it completes under work-stealing, completed cells found in
 //! the store are restored instead of re-run, and because seeds are split
@@ -54,8 +57,8 @@
 //! assert_eq!(outcomes[0].name, "load-0.3"); // declaration order
 //! ```
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Mutex};
 use std::time::Instant;
 
@@ -369,21 +372,18 @@ impl Fleet {
     /// `run_each` when the fleet is large and outcomes can be reduced on
     /// the fly instead of buffered whole.
     pub fn run(self) -> Result<Vec<ScenarioOutcome>, FleetError> {
-        self.run_with_stats().map(|(outcomes, _)| outcomes)
-    }
-
-    /// [`Fleet::run`], also returning the scheduler's [`FleetStats`].
-    pub fn run_with_stats(self) -> Result<(Vec<ScenarioOutcome>, FleetStats), FleetError> {
         let mut outcomes = Vec::with_capacity(self.len());
-        let stats = self.run_each(|outcome| outcomes.push(outcome))?;
-        Ok((outcomes, stats))
+        self.run_each(|outcome| outcomes.push(outcome))?;
+        Ok(outcomes)
     }
 
     /// Runs the fleet against a durable [`SweepStore`] and collects the
     /// outcomes **in declaration order**: cells already completed in the
     /// store are restored without re-running, the remainder execute under
-    /// work-stealing and are journaled as they finish, and the merged
-    /// result is byte-identical to an uninterrupted [`Fleet::run`].
+    /// work-stealing and are journaled the moment each arrives
+    /// (completion order, each durable before the sweep moves on), and
+    /// the merged result is byte-identical to an uninterrupted
+    /// [`Fleet::run`].
     ///
     /// On a fresh (empty) store this is simply a fully-journaled sweep,
     /// so the same call works for the first attempt and every resume —
@@ -400,24 +400,8 @@ impl Fleet {
         store: &mut dyn SweepStore,
     ) -> Result<(Vec<ScenarioOutcome>, FleetStats), FleetError> {
         let mut outcomes = Vec::with_capacity(self.len());
-        let stats = self.run_each_stored(store, |outcome| outcomes.push(outcome))?;
+        let stats = self.run_each_inner(Some(store), |outcome| outcomes.push(outcome))?;
         Ok((outcomes, stats))
-    }
-
-    /// The streaming flavour of [`Fleet::resume`]: like
-    /// [`Fleet::run_each`], but restored and fresh outcomes alike fold in
-    /// declaration order while fresh completions are journaled to `store`
-    /// the moment they arrive (completion order), each one durable before
-    /// the sweep moves on.
-    pub fn run_each_stored<F>(
-        self,
-        store: &mut dyn SweepStore,
-        fold: F,
-    ) -> Result<FleetStats, FleetError>
-    where
-        F: FnMut(ScenarioOutcome),
-    {
-        self.run_each_inner(Some(store), fold)
     }
 
     /// Executes the fleet, streaming each [`ScenarioOutcome`] to `fold`
@@ -427,8 +411,8 @@ impl Fleet {
     /// never holds a thousand traces in memory.
     ///
     /// Failure semantics match [`Fleet::run`]: the first (lowest-index)
-    /// panic or error is reported, workers stop claiming new scenarios
-    /// once any failure is flagged, and no outcome at or after the failing
+    /// panic or error is reported, no worker claims a new scenario once
+    /// a failure has come back, and no outcome at or after the failing
     /// index is delivered. Outcomes *before* the failing index may already
     /// have been folded when the error returns — a streaming API cannot
     /// take them back.
@@ -439,10 +423,11 @@ impl Fleet {
         self.run_each_inner(None, fold)
     }
 
-    /// The one sweep executor behind [`Fleet::run_each`] and
-    /// [`Fleet::run_each_stored`]: reconciles the optional store with the
-    /// declared scenarios, then runs the remainder serially or under
-    /// work-stealing.
+    /// The sweep behind [`Fleet::run_each`] and [`Fleet::resume`]:
+    /// reconciles the optional store with the declared scenarios, then
+    /// hands the remainder to [`steal`], whose sink journals each fresh
+    /// completion, quarantines or reports panics, and folds outcomes in
+    /// declaration order.
     fn run_each_inner<F>(
         self,
         mut store: Option<&mut dyn SweepStore>,
@@ -455,260 +440,213 @@ impl Fleet {
         let retry_quarantined = self.retry_quarantined;
         let threads = self.threads;
         let specs = self.prepare()?;
-        let n = specs.len();
 
         // Reconcile the store with this fleet: every recorded cell must
         // name-and-seed-match the scenario at its index, or the caller is
-        // resuming against the wrong store.
-        let mut restored: BTreeMap<usize, ScenarioOutcome> = BTreeMap::new();
-        let mut skip: BTreeSet<usize> = BTreeSet::new();
+        // resuming against the wrong store. Restored outcomes and skipped
+        // quarantine holes preseed the reorder buffer that turns
+        // completion order into declaration order.
+        let mut pending: BTreeMap<usize, Option<ScenarioOutcome>> = BTreeMap::new();
         if let Some(store) = store.as_deref_mut() {
             for index in store.completed_indices() {
-                let i = checked_cell_index(index, n)?;
                 let rec = store.fetch(index).expect("listed index is retrievable");
-                check_cell_identity(index, &rec.name, rec.seed, &specs[i])?;
-                restored.insert(i, rec.into_outcome());
+                let i = check_cell(index, &rec.name, rec.seed, &specs)?;
+                pending.insert(i, Some(rec.into_outcome()));
             }
             for q in store.quarantined() {
-                let i = checked_cell_index(q.index, n)?;
-                check_cell_identity(q.index, &q.name, q.seed, &specs[i])?;
+                let i = check_cell(q.index, &q.name, q.seed, &specs)?;
                 if !retry_quarantined {
-                    skip.insert(i);
+                    pending.entry(i).or_insert(None);
                 }
             }
         }
-        let resumed = restored.len();
-        let skipped = skip.len();
+        let resumed = pending.values().filter(|cell| cell.is_some()).count();
+        let skipped = pending.len() - resumed;
 
-        // Split the fleet into fixed cells (restored outcomes and
-        // quarantine holes, already decided) and the jobs to execute;
-        // each job remembers its declaration index, name and seed so a
-        // fresh completion can be journaled and a panic quarantined.
-        let mut fixed: BTreeMap<usize, Option<ScenarioOutcome>> = BTreeMap::new();
-        let mut to_run: Vec<(usize, String, u64, ScenarioSpec)> = Vec::new();
-        for (index, spec) in specs.into_iter().enumerate() {
-            if let Some(outcome) = restored.remove(&index) {
-                fixed.insert(index, Some(outcome));
-            } else if skip.contains(&index) {
-                fixed.insert(index, None);
-            } else {
+        // Each job keeps its declaration index, name and seed so a fresh
+        // completion can be journaled and a panic quarantined.
+        let jobs: Vec<(usize, String, u64, ScenarioSpec)> = specs
+            .into_iter()
+            .enumerate()
+            .filter(|(index, _)| !pending.contains_key(index))
+            .map(|(index, spec)| {
                 let name = spec.name().to_owned();
                 let seed = spec.seed_value().expect("prepare assigned every seed");
-                to_run.push((index, name, seed, spec));
+                (index, name, seed, spec)
+            })
+            .collect();
+        let workers = resolve_workers(threads, jobs.len());
+
+        let mut next = 0usize;
+        let mut drain = |pending: &mut BTreeMap<usize, Option<ScenarioOutcome>>| {
+            while let Some(cell) = pending.remove(&next) {
+                if let Some(outcome) = cell {
+                    fold(outcome);
+                }
+                next += 1;
             }
-        }
-        let jobs_n = to_run.len();
-        let workers = resolve_workers(threads, jobs_n);
+        };
+        drain(&mut pending);
         let mut quarantined = 0usize;
-
-        let run_started = Instant::now();
-        if workers == 1 || jobs_n == 0 {
-            // Serial fast path (also the everything-already-restored
-            // path): declaration order is execution order, so outcomes
-            // stream with no reorder buffer.
-            let mut busy = 0.0f64;
-            let mut jobs = to_run.into_iter().peekable();
-            for index in 0..n {
-                if let Some(entry) = fixed.remove(&index) {
-                    if let Some(outcome) = entry {
-                        fold(outcome);
-                    }
-                    continue;
+        let mut failure: Option<FleetError> = None;
+        let stats = steal(
+            jobs.into_iter(),
+            workers,
+            |(index, name, seed, spec)| (index, name, seed, run_caught(spec)),
+            |(index, name, seed, outcome)| {
+                if matches!(failure, Some(FleetError::Store(_))) {
+                    return false; // the run is already lost
                 }
-                let (i, name, seed, spec) = jobs.next().expect("every cell fixed or runnable");
-                debug_assert_eq!(i, index);
-                let started = Instant::now();
-                let outcome = run_caught(spec);
-                busy += started.elapsed().as_secs_f64();
-                match outcome {
+                // A fresh completion is journaled the moment it arrives,
+                // so a kill right after loses nothing.
+                let stored = match outcome {
                     Ok(outcome) => {
-                        if let Some(store) = store.as_deref_mut() {
-                            let rec = SweepRecord::from_outcome(index as u64, &outcome);
-                            store.record(&rec).map_err(FleetError::Store)?;
-                        }
-                        fold(outcome);
-                    }
-                    Err(message) => match panic_policy {
-                        PanicPolicy::FailFast => {
-                            return Err(FleetError::ScenarioPanicked {
-                                index,
-                                name,
-                                message,
-                            })
-                        }
-                        PanicPolicy::Quarantine => {
-                            quarantined += 1;
-                            if let Some(store) = store.as_deref_mut() {
-                                let q = QuarantineRecord {
-                                    index: index as u64,
-                                    name,
-                                    seed,
-                                    message,
-                                };
-                                store.record_quarantine(&q).map_err(FleetError::Store)?;
-                            }
-                        }
-                    },
-                }
-            }
-            let wall_s = run_started.elapsed().as_secs_f64();
-            return Ok(FleetStats {
-                workers: 1,
-                scenarios: jobs_n,
-                resumed,
-                skipped,
-                quarantined,
-                wall_s,
-                worker_busy_s: vec![busy],
-                worker_finish_s: vec![wall_s],
-            });
-        }
-
-        // Shared work-stealing state: an atomic cursor hands out job
-        // indices; each job slot is locked exactly once, by the single
-        // worker that claimed it.
-        let jobs: Vec<Mutex<Option<(usize, String, u64, ScenarioSpec)>>> =
-            to_run.into_iter().map(|j| Mutex::new(Some(j))).collect();
-        let cursor = AtomicUsize::new(0);
-        // Fail fast: once any scenario fails (or the store refuses a
-        // write), the whole run is lost, so workers stop picking up new
-        // jobs rather than burning CPU on outcomes that would be
-        // discarded. Under quarantine a panic is a result, not a failure.
-        let failed = AtomicBool::new(false);
-        let busy = Mutex::new(vec![0.0f64; workers]);
-        let finishes = Mutex::new(vec![0.0f64; workers]);
-        let (tx, rx) = mpsc::channel::<(usize, String, u64, Result<ScenarioOutcome, String>)>();
-
-        let mut first_failure: Option<(usize, String, String)> = None;
-        let mut store_failure: Option<StoreError> = None;
-        std::thread::scope(|scope| {
-            let jobs = &jobs;
-            let cursor = &cursor;
-            let failed = &failed;
-            let busy = &busy;
-            let finishes = &finishes;
-            for worker in 0..workers {
-                let tx = tx.clone();
-                scope.spawn(move || {
-                    let mut my_busy = 0.0f64;
-                    loop {
-                        if failed.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let slot = cursor.fetch_add(1, Ordering::Relaxed);
-                        if slot >= jobs_n {
-                            break;
-                        }
-                        let (index, name, seed, spec) = jobs[slot]
-                            .lock()
-                            .expect("job slot poisoned")
-                            .take()
-                            .expect("slot claimed exactly once");
-                        let started = Instant::now();
-                        let outcome = run_caught(spec);
-                        my_busy += started.elapsed().as_secs_f64();
-                        if outcome.is_err() && panic_policy == PanicPolicy::FailFast {
-                            failed.store(true, Ordering::Relaxed);
-                        }
-                        if tx.send((index, name, seed, outcome)).is_err() {
-                            break;
-                        }
-                    }
-                    busy.lock().expect("busy slots poisoned")[worker] = my_busy;
-                    finishes.lock().expect("finish slots poisoned")[worker] =
-                        run_started.elapsed().as_secs_f64();
-                });
-            }
-            drop(tx);
-
-            // The calling thread is the consumer: fresh completions are
-            // journaled the moment they arrive (completion order — a kill
-            // right after loses nothing), then a reorder buffer preseeded
-            // with the restored/skipped cells turns completion order into
-            // declaration order, firing the callback the moment the next
-            // expected index is ready.
-            let mut pending = fixed;
-            let mut next = 0usize;
-            let drain = |pending: &mut BTreeMap<usize, Option<ScenarioOutcome>>,
-                         next: &mut usize,
-                         fold: &mut F| {
-                while let Some(entry) = pending.remove(next) {
-                    if let Some(outcome) = entry {
-                        fold(outcome);
-                    }
-                    *next += 1;
-                }
-            };
-            drain(&mut pending, &mut next, &mut fold);
-            for (index, name, seed, outcome) in rx {
-                if store_failure.is_some() {
-                    continue; // drain the channel; the run is already lost
-                }
-                match outcome {
-                    Ok(outcome) => {
-                        if let Some(store) = store.as_deref_mut() {
-                            let rec = SweepRecord::from_outcome(index as u64, &outcome);
-                            if let Err(e) = store.record(&rec) {
-                                store_failure = Some(e);
-                                failed.store(true, Ordering::Relaxed);
-                                continue;
-                            }
-                        }
+                        let stored = store.as_deref_mut().map_or(Ok(()), |s| {
+                            s.record(&SweepRecord::from_outcome(index as u64, &outcome))
+                        });
                         pending.insert(index, Some(outcome));
-                        drain(&mut pending, &mut next, &mut fold);
+                        stored
                     }
-                    Err(message) => match panic_policy {
-                        PanicPolicy::Quarantine => {
-                            let q = QuarantineRecord {
-                                index: index as u64,
-                                name,
-                                seed,
-                                message,
-                            };
-                            if let Some(store) = store.as_deref_mut() {
-                                if let Err(e) = store.record_quarantine(&q) {
-                                    store_failure = Some(e);
-                                    failed.store(true, Ordering::Relaxed);
-                                    continue;
-                                }
+                    Err(message) if panic_policy == PanicPolicy::Quarantine => {
+                        quarantined += 1;
+                        pending.insert(index, None);
+                        let q = QuarantineRecord {
+                            index: index as u64,
+                            name,
+                            seed,
+                            message,
+                        };
+                        store
+                            .as_deref_mut()
+                            .map_or(Ok(()), |s| s.record_quarantine(&q))
+                    }
+                    Err(message) => {
+                        // Fail fast, reporting the lowest failing index:
+                        // jobs claimed before the stop may still panic.
+                        match failure {
+                            Some(FleetError::ScenarioPanicked { index: lowest, .. })
+                                if lowest < index => {}
+                            _ => {
+                                failure = Some(FleetError::ScenarioPanicked {
+                                    index,
+                                    name,
+                                    message,
+                                })
                             }
-                            quarantined += 1;
-                            pending.insert(index, None);
-                            drain(&mut pending, &mut next, &mut fold);
                         }
-                        PanicPolicy::FailFast => {
-                            let is_first = first_failure
-                                .as_ref()
-                                .map_or(true, |(lowest, ..)| index < *lowest);
-                            if is_first {
-                                first_failure = Some((index, name, message));
-                            }
-                        }
-                    },
+                        return false;
+                    }
+                };
+                match stored {
+                    Ok(()) => {
+                        drain(&mut pending);
+                        failure.is_none()
+                    }
+                    Err(e) => {
+                        failure = Some(FleetError::Store(e));
+                        false
+                    }
                 }
-            }
-        });
-
-        if let Some(e) = store_failure {
-            return Err(FleetError::Store(e));
-        }
-        match first_failure {
-            Some((index, name, message)) => Err(FleetError::ScenarioPanicked {
-                index,
-                name,
-                message,
-            }),
+            },
+        );
+        match failure {
+            Some(e) => Err(e),
             None => Ok(FleetStats {
-                workers,
-                scenarios: jobs_n,
                 resumed,
                 skipped,
                 quarantined,
-                wall_s: run_started.elapsed().as_secs_f64(),
-                worker_busy_s: busy.into_inner().expect("busy slots poisoned"),
-                worker_finish_s: finishes.into_inner().expect("finish slots poisoned"),
+                ..stats
             }),
         }
+    }
+}
+
+/// The claim-run-report loop behind [`Fleet`] and [`run_tasks`]: runs
+/// `work` on every job and hands each result to `sink` on the calling
+/// thread.
+///
+/// With one worker, every job runs on the calling thread, in order, and
+/// nothing is spawned. With more, `workers` scoped threads claim jobs
+/// from one mutex-guarded iterator — in iterator order, each the moment
+/// its claimant goes idle — and send each result back. Once `sink`
+/// returns `false`, no worker claims another job; results of jobs
+/// already claimed still reach `sink`, so a lower-index failure that
+/// finishes late is not lost.
+fn steal<J, R>(
+    jobs: impl Iterator<Item = J> + Send,
+    workers: usize,
+    work: impl Fn(J) -> R + Sync,
+    mut sink: impl FnMut(R) -> bool,
+) -> FleetStats
+where
+    R: Send,
+{
+    let started = Instant::now();
+    let timed = |job: J| {
+        let t = Instant::now();
+        let result = work(job);
+        (result, t.elapsed().as_secs_f64())
+    };
+    let mut scenarios = 0usize;
+    // Per worker: seconds spent in `work`, and when it ran out of jobs.
+    let spans: Vec<(f64, f64)> = if workers <= 1 {
+        let mut busy = 0.0f64;
+        for job in jobs {
+            let (result, secs) = timed(job);
+            busy += secs;
+            scenarios += 1;
+            if !sink(result) {
+                break;
+            }
+        }
+        vec![(busy, started.elapsed().as_secs_f64())]
+    } else {
+        let jobs = Mutex::new(jobs);
+        let claim = || jobs.lock().expect("job queue poisoned").next();
+        let stop = AtomicBool::new(false);
+        let (tx, rx) = mpsc::channel();
+        std::thread::scope(|scope| {
+            let (claim, stop, timed) = (&claim, &stop, &timed);
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    let tx = tx.clone();
+                    scope.spawn(move || {
+                        let mut busy = 0.0f64;
+                        while !stop.load(Ordering::Relaxed) {
+                            let Some(job) = claim() else { break };
+                            let (result, secs) = timed(job);
+                            busy += secs;
+                            if tx.send(result).is_err() {
+                                break;
+                            }
+                        }
+                        (busy, started.elapsed().as_secs_f64())
+                    })
+                })
+                .collect();
+            drop(tx);
+            for result in rx {
+                scenarios += 1;
+                if !sink(result) {
+                    stop.store(true, Ordering::Relaxed);
+                }
+            }
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("jobs catch their own panics"))
+                .collect()
+        })
+    };
+    let (worker_busy_s, worker_finish_s): (Vec<f64>, Vec<f64>) = spans.into_iter().unzip();
+    FleetStats {
+        workers: worker_busy_s.len(),
+        scenarios,
+        resumed: 0,
+        skipped: 0,
+        quarantined: 0,
+        wall_s: started.elapsed().as_secs_f64(),
+        worker_busy_s,
+        worker_finish_s,
     }
 }
 
@@ -719,43 +657,35 @@ fn resolve_workers(threads: usize, jobs: usize) -> usize {
     workers.min(jobs).max(1)
 }
 
-/// Bounds-checks a store cell index against this fleet's size.
-fn checked_cell_index(index: u64, n: usize) -> Result<usize, FleetError> {
-    match usize::try_from(index) {
-        Ok(i) if i < n => Ok(i),
-        _ => Err(FleetError::StoreMismatch {
-            index,
-            detail: format!("the fleet declares only {n} scenarios"),
-        }),
-    }
-}
-
-/// Checks a store record's identity against the declared scenario at its
-/// index.
-fn check_cell_identity(
+/// Checks a store record against the declared scenario at its index —
+/// the index must be in range and the name and seed must match — and
+/// returns the index.
+fn check_cell(
     index: u64,
     name: &str,
     seed: u64,
-    spec: &ScenarioSpec,
-) -> Result<(), FleetError> {
+    specs: &[ScenarioSpec],
+) -> Result<usize, FleetError> {
+    let mismatch = |detail| FleetError::StoreMismatch { index, detail };
+    let n = specs.len();
+    let i = usize::try_from(index).unwrap_or(usize::MAX);
+    let spec = specs
+        .get(i)
+        .ok_or_else(|| mismatch(format!("the fleet declares only {n} scenarios")))?;
     if name != spec.name() {
-        return Err(FleetError::StoreMismatch {
-            index,
-            detail: format!(
-                "store recorded scenario {:?}, the fleet declares {:?}",
-                name,
-                spec.name()
-            ),
-        });
+        return Err(mismatch(format!(
+            "store recorded scenario {:?}, the fleet declares {:?}",
+            name,
+            spec.name()
+        )));
     }
     let expected = spec.seed_value().expect("prepare assigned every seed");
     if seed != expected {
-        return Err(FleetError::StoreMismatch {
-            index,
-            detail: format!("store recorded seed {seed}, the fleet derives {expected}"),
-        });
+        return Err(mismatch(format!(
+            "store recorded seed {seed}, the fleet derives {expected}"
+        )));
     }
-    Ok(())
+    Ok(i)
 }
 
 /// Runs one spec with panic capture, flattening panics and validation
@@ -778,11 +708,11 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// The Fleet's work-stealing scheduler generalized over *any* named
 /// task — the entry point cluster sweeps use, since a cluster run is not
-/// a [`ScenarioSpec`]. Tasks are claimed from an atomic cursor exactly
-/// like [`Fleet::run_each`], results come back **in declaration order**,
-/// and the first (lowest-index) panic wins with the same fail-fast
-/// semantics. `threads == 0` means one worker per available core;
-/// `threads == 1` runs serially on the calling thread.
+/// a [`ScenarioSpec`]. Tasks are claimed in index order by the same
+/// scheduler as [`Fleet::run_each`], results come back **in declaration
+/// order**, and the first (lowest-index) panic wins with the same
+/// fail-fast semantics. `threads == 0` means one worker per available
+/// core; `threads == 1` runs serially on the calling thread.
 ///
 /// Determinism is the caller's contract: a task must not depend on which
 /// worker runs it or when — then `run_tasks(tasks, 1)` and
@@ -812,119 +742,31 @@ where
         return Err(FleetError::Empty);
     }
     let n = tasks.len();
-    let workers = resolve_workers(threads, n);
-
-    let catch = |name: String, index: usize, task: F| {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(task)).map_err(|payload| {
-            FleetError::ScenarioPanicked {
-                index,
-                name,
-                message: panic_message(payload.as_ref()),
-            }
-        })
-    };
-
-    let run_started = Instant::now();
-    if workers == 1 {
-        let mut busy = 0.0f64;
-        let mut results = Vec::with_capacity(n);
-        for (index, (name, task)) in tasks.into_iter().enumerate() {
-            let started = Instant::now();
-            let result = catch(name, index, task);
-            busy += started.elapsed().as_secs_f64();
-            results.push(result?);
-        }
-        let wall_s = run_started.elapsed().as_secs_f64();
-        return Ok((
-            results,
-            FleetStats {
-                workers: 1,
-                scenarios: n,
-                resumed: 0,
-                skipped: 0,
-                quarantined: 0,
-                wall_s,
-                worker_busy_s: vec![busy],
-                worker_finish_s: vec![wall_s],
-            },
-        ));
-    }
-
-    // Same shared state as Fleet::run_each: an atomic claim cursor, one
-    // job slot per task (locked exactly once by its claimant) and a
-    // result slot written by the same claimant.
-    let jobs: Vec<Mutex<Option<(String, F)>>> =
-        tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let slots: Vec<Mutex<Option<Result<T, FleetError>>>> =
-        (0..n).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    let failed = AtomicBool::new(false);
-    let busy = Mutex::new(vec![0.0f64; workers]);
-    let finishes = Mutex::new(vec![0.0f64; workers]);
-
-    std::thread::scope(|scope| {
-        let jobs = &jobs;
-        let slots = &slots;
-        let cursor = &cursor;
-        let failed = &failed;
-        let busy = &busy;
-        let finishes = &finishes;
-        let catch = &catch;
-        for worker in 0..workers {
-            scope.spawn(move || {
-                let mut my_busy = 0.0f64;
-                loop {
-                    if failed.load(Ordering::Relaxed) {
-                        break;
+    let mut slots: Vec<Option<Result<T, FleetError>>> = (0..n).map(|_| None).collect();
+    let stats = steal(
+        tasks.into_iter().enumerate(),
+        resolve_workers(threads, n),
+        |(index, (name, task))| {
+            let result =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(task)).map_err(|payload| {
+                    FleetError::ScenarioPanicked {
+                        index,
+                        name,
+                        message: panic_message(payload.as_ref()),
                     }
-                    let index = cursor.fetch_add(1, Ordering::Relaxed);
-                    if index >= n {
-                        break;
-                    }
-                    let (name, task) = jobs[index]
-                        .lock()
-                        .expect("job slot poisoned")
-                        .take()
-                        .expect("index claimed exactly once");
-                    let started = Instant::now();
-                    let result = catch(name, index, task);
-                    my_busy += started.elapsed().as_secs_f64();
-                    if result.is_err() {
-                        failed.store(true, Ordering::Relaxed);
-                    }
-                    *slots[index].lock().expect("result slot poisoned") = Some(result);
-                }
-                busy.lock().expect("busy slots poisoned")[worker] = my_busy;
-                finishes.lock().expect("finish slots poisoned")[worker] =
-                    run_started.elapsed().as_secs_f64();
-            });
-        }
-    });
-
-    // Report the lowest-index failure, like Fleet::run_each.
-    let mut results = Vec::with_capacity(n);
-    for slot in slots {
-        match slot.into_inner().expect("result slot poisoned") {
-            Some(Ok(value)) => results.push(value),
-            Some(Err(e)) => return Err(e),
-            // Unclaimed: the fail-fast flag stopped the run, so some
-            // earlier-or-later slot holds the error — keep scanning.
-            None => {}
-        }
-    }
-    Ok((
-        results,
-        FleetStats {
-            workers,
-            scenarios: n,
-            resumed: 0,
-            skipped: 0,
-            quarantined: 0,
-            wall_s: run_started.elapsed().as_secs_f64(),
-            worker_busy_s: busy.into_inner().expect("busy slots poisoned"),
-            worker_finish_s: finishes.into_inner().expect("finish slots poisoned"),
+                });
+            (index, result)
         },
-    ))
+        |(index, result)| {
+            let ok = result.is_ok();
+            slots[index] = Some(result);
+            ok
+        },
+    );
+    // Report the lowest-index failure; slots left unclaimed after the
+    // stop can sit on either side of it.
+    let results = slots.into_iter().flatten().collect::<Result<Vec<T>, _>>()?;
+    Ok((results, stats))
 }
 
 #[cfg(test)]
@@ -1082,6 +924,23 @@ mod tests {
                 assert!(message.contains("task exploded"));
             }
             other => panic!("expected panic error, got {other:?}"),
+        }
+        // Jobs are claimed in index order, so task 3 has started before
+        // task 7's panic can stop the claims: the lowest index is reported.
+        for threads in [1, 4] {
+            let tasks: Vec<(String, _)> = (0..12)
+                .map(|i| {
+                    (format!("t{i}"), move || {
+                        assert!(i != 3 && i != 7, "task {i} exploded");
+                        i
+                    })
+                })
+                .collect();
+            let err = run_tasks(tasks, threads).expect_err("tasks 3 and 7 panic");
+            assert!(
+                matches!(err, FleetError::ScenarioPanicked { index: 3, .. }),
+                "{threads} workers: {err}"
+            );
         }
         assert!(matches!(
             run_tasks(Vec::<(String, fn() -> u8)>::new(), 2),
@@ -1323,6 +1182,71 @@ mod tests {
         let err = fleet.threads(1).resume(&mut store).expect_err("fail fast");
         assert!(matches!(err, FleetError::ScenarioPanicked { index: 3, .. }));
         assert_eq!(store.len(), 3, "completed prefix is durable");
+    }
+
+    /// A [`MemStore`](crate::store::MemStore) whose `fail_at`-th `record`
+    /// call (1-based) fails, as does every `record_quarantine` call.
+    #[derive(Default)]
+    struct FailingStore {
+        inner: crate::store::MemStore,
+        calls: usize,
+        fail_at: usize,
+    }
+
+    fn disk_full() -> StoreError {
+        StoreError::Io {
+            context: "append journal".into(),
+            source: std::io::Error::other("disk full"),
+        }
+    }
+
+    impl SweepStore for FailingStore {
+        fn completed_indices(&self) -> Vec<u64> {
+            self.inner.completed_indices()
+        }
+        fn quarantined(&self) -> Vec<QuarantineRecord> {
+            self.inner.quarantined()
+        }
+        fn fetch(&self, index: u64) -> Option<SweepRecord> {
+            self.inner.fetch(index)
+        }
+        fn record(&mut self, record: &SweepRecord) -> Result<(), StoreError> {
+            self.calls += 1;
+            if self.calls == self.fail_at {
+                return Err(disk_full());
+            }
+            self.inner.record(record)
+        }
+        fn record_quarantine(&mut self, _: &QuarantineRecord) -> Result<(), StoreError> {
+            Err(disk_full())
+        }
+    }
+
+    #[test]
+    fn failing_store_stops_the_sweep() {
+        for threads in [1, 3] {
+            let mut store = FailingStore {
+                fail_at: 3,
+                ..FailingStore::default()
+            };
+            let err = fleet_of(6)
+                .threads(threads)
+                .resume(&mut store)
+                .expect_err("third record fails");
+            assert!(matches!(err, FleetError::Store(_)), "{err}");
+            assert_eq!(store.inner.len(), 2, "{threads} workers");
+            assert_eq!(store.calls, 3, "no record after the failing one");
+
+            // A panic the store cannot quarantine fails the sweep too.
+            let mut fleet = fleet_of(3);
+            fleet.push(spec("bomb").policy(|_: &Platform, _| Box::new(Bomb) as Box<dyn Policy>));
+            let err = fleet
+                .threads(threads)
+                .panic_policy(PanicPolicy::Quarantine)
+                .resume(&mut FailingStore::default())
+                .expect_err("quarantine record fails");
+            assert!(matches!(err, FleetError::Store(_)), "{err}");
+        }
     }
 
     #[test]

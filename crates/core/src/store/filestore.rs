@@ -1,10 +1,10 @@
-//! File-backed sweep durability: an append-only JSON-lines journal plus
-//! an fsync'd completion manifest, in one directory.
+//! File-backed sweep durability: an append-only JSON-lines journal, the
+//! only file in its directory.
 //!
 //! # On-disk format
 //!
-//! `journal.jsonl` — the source of truth. One *unit* per completed cell,
-//! appended and fsync'd as the cell finishes:
+//! `journal.jsonl` holds one *unit* per completed cell, appended with a
+//! single `write` and fsync'd as the cell finishes:
 //!
 //! ```text
 //! {"begin":"3","name":"…","policy":"…","workload":"…","seed":"42","qos_pct":0.95,"qos_target_s":0.01,"n":"60"}
@@ -17,11 +17,6 @@
 //! `{"quarantine":"5","name":"…","seed":"17","panic":"…"}`. Seeds and
 //! indices travel as decimal strings — a JSON number read back through
 //! `f64` would corrupt values above 2⁵³.
-//!
-//! `manifest.jsonl` — a fast completion index (`{"done":"3","seed":"42"}`
-//! / `{"quarantined":"5","seed":"17"}`), fsync'd after every journal
-//! append and rewritten from the recovered journal on every
-//! [`FileStore::open`], so a crash between the two appends heals itself.
 //!
 //! # Crash recovery
 //!
@@ -250,14 +245,12 @@ fn sync_dir(dir: &Path) {
     }
 }
 
-/// The file-backed [`SweepStore`]: `journal.jsonl` + `manifest.jsonl` in
-/// one directory. See the module docs for the format and crash-recovery
-/// guarantees.
+/// The file-backed [`SweepStore`]: `journal.jsonl` in one directory.
+/// See the module docs for the format and crash-recovery guarantees.
 #[derive(Debug)]
 pub struct FileStore {
     dir: PathBuf,
     journal: File,
-    manifest: File,
     records: BTreeMap<u64, SweepRecord>,
     quarantine: BTreeMap<u64, QuarantineRecord>,
 }
@@ -268,25 +261,19 @@ impl FileStore {
         dir.join("journal.jsonl")
     }
 
-    /// The manifest file inside `dir`.
-    pub fn manifest_path(dir: &Path) -> PathBuf {
-        dir.join("manifest.jsonl")
-    }
-
     /// Starts a fresh store in `dir` (created if missing), discarding any
     /// previous journal there.
     pub fn create(dir: impl AsRef<Path>) -> Result<Self, StoreError> {
         let dir = dir.as_ref();
         fs::create_dir_all(dir).map_err(io_err("create store directory"))?;
         fs::write(Self::journal_path(dir), b"").map_err(io_err("truncate journal"))?;
-        fs::write(Self::manifest_path(dir), b"").map_err(io_err("truncate manifest"))?;
         sync_dir(dir);
         Self::open(dir)
     }
 
     /// Opens (or initialises) the store in `dir`, recovering from any
     /// torn writes: the journal is truncated back to its last complete
-    /// unit and the manifest rewritten to match.
+    /// unit.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self, StoreError> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir).map_err(io_err("create store directory"))?;
@@ -301,41 +288,8 @@ impl FileStore {
                 .map_err(io_err("truncate torn journal tail"))?;
             f.sync_data().map_err(io_err("sync truncated journal"))?;
         }
-        // Rewrite the manifest from the recovered journal state: heals a
-        // crash that landed between the journal append and the manifest
-        // append, and drops manifest lines whose journal unit was torn.
-        let mut manifest_body = String::new();
-        for r in recovered.records.values() {
-            manifest_body.push_str(
-                &JsonObj::new()
-                    .u64("done", r.index)
-                    .u64("seed", r.seed)
-                    .render(),
-            );
-            manifest_body.push('\n');
-        }
-        for q in recovered.quarantine.values() {
-            manifest_body.push_str(
-                &JsonObj::new()
-                    .u64("quarantined", q.index)
-                    .u64("seed", q.seed)
-                    .render(),
-            );
-            manifest_body.push('\n');
-        }
-        let manifest_path = Self::manifest_path(&dir);
-        let tmp = dir.join("manifest.jsonl.tmp");
-        {
-            let mut f = File::create(&tmp).map_err(io_err("write manifest"))?;
-            f.write_all(manifest_body.as_bytes())
-                .map_err(io_err("write manifest"))?;
-            f.sync_data().map_err(io_err("sync manifest"))?;
-        }
-        fs::rename(&tmp, &manifest_path).map_err(io_err("install manifest"))?;
-        sync_dir(&dir);
         Ok(FileStore {
             journal: open_append(&journal_path, "open journal")?,
-            manifest: open_append(&manifest_path, "open manifest")?,
             dir,
             records: recovered.records,
             quarantine: recovered.quarantine,
@@ -406,16 +360,11 @@ impl FileStore {
         Ok(dead)
     }
 
-    fn append_journal(&mut self, unit: &str, manifest_line: &str) -> Result<(), StoreError> {
+    fn append_journal(&mut self, unit: &str) -> Result<(), StoreError> {
         self.journal
             .write_all(unit.as_bytes())
             .map_err(io_err("append journal"))?;
-        self.journal.sync_data().map_err(io_err("sync journal"))?;
-        self.manifest
-            .write_all(manifest_line.as_bytes())
-            .map_err(io_err("append manifest"))?;
-        self.manifest.sync_data().map_err(io_err("sync manifest"))?;
-        Ok(())
+        self.journal.sync_data().map_err(io_err("sync journal"))
     }
 }
 
@@ -440,13 +389,7 @@ impl SweepStore for FileStore {
         // One buffered append per cell: begin + n intervals + end, then a
         // single fsync, so a kill can only tear the not-yet-committed
         // tail of this unit.
-        let unit = render_unit(record);
-        let mut manifest_line = JsonObj::new()
-            .u64("done", record.index)
-            .u64("seed", record.seed)
-            .render();
-        manifest_line.push('\n');
-        self.append_journal(&unit, &manifest_line)?;
+        self.append_journal(&render_unit(record))?;
         self.records.insert(record.index, record.clone());
         Ok(())
     }
@@ -454,12 +397,7 @@ impl SweepStore for FileStore {
     fn record_quarantine(&mut self, q: &QuarantineRecord) -> Result<(), StoreError> {
         let mut unit = quarantine_line(q);
         unit.push('\n');
-        let mut manifest_line = JsonObj::new()
-            .u64("quarantined", q.index)
-            .u64("seed", q.seed)
-            .render();
-        manifest_line.push('\n');
-        self.append_journal(&unit, &manifest_line)?;
+        self.append_journal(&unit)?;
         self.quarantine.insert(q.index, q.clone());
         Ok(())
     }
@@ -626,6 +564,11 @@ mod tests {
             store.record(&r2).unwrap();
         }
         let store = FileStore::open(&dir).expect("reopen");
+        let files: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(files, ["journal.jsonl"], "the journal is the only file");
         assert_eq!(store.completed_indices(), vec![0, 2]);
         assert_eq!(store.quarantined(), vec![q]);
         assert_eq!(store.fetch(0), Some(r0));
@@ -676,28 +619,6 @@ mod tests {
         let store = FileStore::open(&dir).expect("recover");
         assert_eq!(store.completed_indices(), vec![0]);
         assert_eq!(store.fetch(0), Some(r0));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn manifest_is_rebuilt_from_journal_on_open() {
-        let dir = scratch("manifest");
-        let r0 = sample_record(0, 100);
-        {
-            let mut store = FileStore::create(&dir).expect("create");
-            store.record(&r0).unwrap();
-        }
-        let manifest = FileStore::manifest_path(&dir);
-        let healthy = fs::read_to_string(&manifest).unwrap();
-        assert!(healthy.contains("\"done\":\"0\""));
-        // Simulate a crash between journal append and manifest append:
-        // an empty (stale) manifest must heal to match the journal.
-        fs::write(&manifest, b"").unwrap();
-        {
-            let store = FileStore::open(&dir).expect("heal");
-            assert_eq!(store.completed_indices(), vec![0]);
-        }
-        assert_eq!(fs::read_to_string(&manifest).unwrap(), healthy);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -15,9 +15,9 @@
 //!
 //! * [`MemStore`] — in-process, for tests and warm restarts within one
 //!   process.
-//! * [`FileStore`] — an append-only JSON-lines journal plus an fsync'd
-//!   completion manifest in a directory; tolerates torn writes by
-//!   discarding a truncated tail on open (those cells simply re-run).
+//! * [`FileStore`] — an append-only JSON-lines journal in a directory,
+//!   one `write` + fsync per cell; tolerates torn writes by discarding a
+//!   truncated tail on open (those cells simply re-run).
 //!
 //! Scenario *panics* are captured the same way: under
 //! [`PanicPolicy::Quarantine`](crate::PanicPolicy) a panicking cell

@@ -20,10 +20,11 @@
 //! process may run on two or more cores; the engine steps alone, with no
 //! other engine in the process stepping now or since its previous step,
 //! unlike the nodes of a cluster or the engines of a multi-worker fleet;
-//! and fewer than `host_cores() − 1` generators are alive in the process. The engine keeps the generator until it drops,
-//! and every later open-loop interval reads from it. Until then the loop
-//! draws each burst and demand as it takes it. Closed-loop intervals,
-//! whose arrivals wait on completions, always run on one thread.
+//! and fewer than `host_cores() − 1` generators are alive in the process.
+//! The engine keeps the generator until it drops, and every later
+//! open-loop interval reads from it. Until then the loop draws each
+//! burst and demand as it takes it. Closed-loop intervals, whose
+//! arrivals wait on completions, always run on one thread.
 //!
 //! The model is shared with the generator behind a lock, which the
 //! generator takes once per chunk. A step that reads from the generator

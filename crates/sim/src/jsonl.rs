@@ -158,7 +158,7 @@ mod tests {
 
     #[test]
     fn reserialization_is_byte_identical() {
-        let s = sample(3.14159);
+        let s = sample(1.23456);
         let line = interval_to_jsonl(&s);
         let again = interval_to_jsonl(&interval_from_jsonl(&line).unwrap());
         assert_eq!(line, again);
