@@ -624,6 +624,43 @@ mod tests {
     }
 
     #[test]
+    fn invalid_reconfiguration_costs_are_typed_errors() {
+        // A NaN stall never ends, so intervals complete nothing; a negative
+        // one dispatches queued work in the past. Neither may run.
+        let juno = hipster_sim::ReconfigCosts::juno_defaults();
+        let bad = [
+            hipster_sim::ReconfigCosts {
+                core_migration_stall_s: f64::NAN,
+                ..juno
+            },
+            hipster_sim::ReconfigCosts {
+                core_migration_stall_s: -0.5,
+                ..juno
+            },
+            hipster_sim::ReconfigCosts {
+                cold_cache_penalty: 0.5,
+                ..juno
+            },
+        ];
+        for costs in bad {
+            let spec = base().costs(costs);
+            assert!(
+                matches!(
+                    spec.validate(),
+                    Err(ScenarioError::Engine(EngineSpecError::InvalidCost { .. }))
+                ),
+                "{costs:?} validated"
+            );
+            assert!(matches!(spec.run(), Err(ScenarioError::Engine(_))));
+        }
+        assert_eq!(base().costs(juno).validate(), Ok(()));
+        assert_eq!(
+            base().costs(hipster_sim::ReconfigCosts::free()).validate(),
+            Ok(())
+        );
+    }
+
+    #[test]
     fn collocated_scenario_runs_batch() {
         let out = base()
             .collocated()

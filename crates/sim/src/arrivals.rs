@@ -53,7 +53,7 @@ const RING_CHUNKS: usize = 16;
 /// every later open-loop interval of that engine, so the threshold picks
 /// engines whose load repays a thread, not intervals. On a 2-core x86-64
 /// host the spawn call takes 0.09–0.21 ms, and drawing the demand stream
-/// off the loop saves about 9 ns of the Juno's 51 ns per request, so a
+/// off the loop saves about 9 ns of the Juno's 44 ns per request, so a
 /// generator repays its spawn within a few intervals at this threshold.
 /// One Juno node at 1 s intervals clears it from about 11% of Memcached's
 /// 36k RPS maximum load (`juno-diurnal` reaches that at its 207th

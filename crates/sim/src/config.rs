@@ -27,6 +27,16 @@ pub enum EngineSpecError {
         /// The rejected sigma.
         sigma: f64,
     },
+    /// A reconfiguration cost is not finite or lies below its minimum: 0
+    /// for the two stalls, 1 for the cold-cache penalty.
+    InvalidCost {
+        /// The rejected [`ReconfigCosts`] field.
+        field: &'static str,
+        /// Its value.
+        value: f64,
+        /// The smallest value the field accepts.
+        min: f64,
+    },
     /// The fault-injection spec is invalid.
     Fault(FaultSpecError),
 }
@@ -42,6 +52,9 @@ impl std::fmt::Display for EngineSpecError {
                     f,
                     "jitter sigma must be finite and non-negative, got {sigma}"
                 )
+            }
+            EngineSpecError::InvalidCost { field, value, min } => {
+                write!(f, "{field} must be finite and at least {min}, got {value}")
             }
             EngineSpecError::Fault(e) => write!(f, "fault spec: {e}"),
         }
@@ -116,6 +129,7 @@ impl EngineSpec {
                 sigma: self.jitter_sigma,
             });
         }
+        self.costs.validate()?;
         self.faults.validate().map_err(EngineSpecError::Fault)?;
         self.hedge.validate().map_err(EngineSpecError::Fault)?;
         Ok(())
@@ -250,5 +264,14 @@ mod tests {
     fn error_messages_name_the_offender() {
         let e = EngineSpecError::InvalidJitter { sigma: -0.5 };
         assert!(e.to_string().contains("-0.5"));
+        let e = EngineSpecError::InvalidCost {
+            field: "cold_cache_penalty",
+            value: 0.5,
+            min: 1.0,
+        };
+        assert_eq!(
+            e.to_string(),
+            "cold_cache_penalty must be finite and at least 1, got 0.5"
+        );
     }
 }

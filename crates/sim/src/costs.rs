@@ -7,6 +7,8 @@
 //! what make policy oscillation (Octopus-Man bouncing between 2B and 4S)
 //! hurt tail latency in the reproduction, exactly as in Figure 5.
 
+use crate::config::EngineSpecError;
+
 /// Costs charged when the task manager changes the machine configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReconfigCosts {
@@ -40,6 +42,25 @@ impl ReconfigCosts {
             core_migration_stall_s: 0.0,
             dvfs_stall_s: 0.0,
             cold_cache_penalty: 1.0,
+        }
+    }
+
+    /// Checks that both stalls are finite and non-negative and the
+    /// cold-cache penalty is finite and at least 1, returning the first
+    /// field that is not. A NaN stall would never end, and a negative one
+    /// would start queued work in the past.
+    pub fn validate(&self) -> Result<(), EngineSpecError> {
+        let fields = [
+            ("core_migration_stall_s", self.core_migration_stall_s, 0.0),
+            ("dvfs_stall_s", self.dvfs_stall_s, 0.0),
+            ("cold_cache_penalty", self.cold_cache_penalty, 1.0),
+        ];
+        match fields
+            .into_iter()
+            .find(|&(_, value, min)| !(value.is_finite() && value >= min))
+        {
+            Some((field, value, min)) => Err(EngineSpecError::InvalidCost { field, value, min }),
+            None => Ok(()),
         }
     }
 }
@@ -119,6 +140,32 @@ mod tests {
         assert_eq!(c.core_migration_stall_s, 0.0);
         assert_eq!(c.dvfs_stall_s, 0.0);
         assert_eq!(c.cold_cache_penalty, 1.0);
+    }
+
+    #[test]
+    fn validate_rejects_each_cost_out_of_range() {
+        let juno = ReconfigCosts::juno_defaults();
+        assert_eq!(juno.validate(), Ok(()));
+        assert_eq!(ReconfigCosts::free().validate(), Ok(()));
+        let bad = [
+            ("core_migration_stall_s", f64::NAN),
+            ("core_migration_stall_s", -0.5),
+            ("dvfs_stall_s", f64::INFINITY),
+            ("cold_cache_penalty", 0.99),
+            ("cold_cache_penalty", f64::NAN),
+        ];
+        for (want, value) in bad {
+            let mut costs = juno;
+            match want {
+                "core_migration_stall_s" => costs.core_migration_stall_s = value,
+                "dvfs_stall_s" => costs.dvfs_stall_s = value,
+                _ => costs.cold_cache_penalty = value,
+            }
+            match costs.validate() {
+                Err(EngineSpecError::InvalidCost { field, .. }) => assert_eq!(field, want),
+                other => panic!("{costs:?} validated as {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -409,7 +409,15 @@ impl Engine {
     }
 
     /// Overrides the reconfiguration cost model.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a cost fails [`ReconfigCosts::validate`], the check
+    /// [`EngineSpec::validate`](crate::EngineSpec::validate) makes.
     pub fn with_costs(mut self, costs: ReconfigCosts) -> Self {
+        if let Err(e) = costs.validate() {
+            panic!("invalid reconfiguration costs: {e}");
+        }
         self.costs = costs;
         self
     }
@@ -1126,6 +1134,13 @@ impl Engine {
 /// demands from `demands` and drawing each request's straggle as it
 /// arrives. Returns the kick still owed when `kick_at` falls at or after
 /// the interval end.
+///
+/// Each turn takes the earliest of the next arrival, the pending kick and
+/// the interval end (an arrival wins a tie with the kick, and both lose
+/// one with the end), and first lets the node retire every completion due
+/// by then: [`ServiceNode::advance`] retires them in (finish, server)
+/// order, each dispatching at its own finish time, so a completion wins
+/// any tie. Completions take no turn of their own.
 fn event_loop(
     node: &mut ServiceNode,
     req_faults: &mut Option<ReqFaults>,
@@ -1137,33 +1152,24 @@ fn event_loop(
     let t_end = gaps.t_end;
     let mut next_arrival = gaps.after(start);
     loop {
-        let tc = node.next_completion();
-        // Earliest of: completion, arrival, kick — within the interval.
         let mut t = t_end;
-        let mut what = 0u8; // 0 = end, 1 = completion, 2 = arrival, 3 = kick
-        if let Some(x) = tc {
+        let mut what = 0u8; // 0 = end, 1 = arrival, 2 = kick
+        if let Some(x) = next_arrival {
             if x < t {
                 t = x;
                 what = 1;
             }
         }
-        if let Some(x) = next_arrival {
+        if let Some(x) = kick_at {
             if x < t {
                 t = x;
                 what = 2;
             }
         }
-        if let Some(x) = kick_at {
-            if x < t {
-                t = x;
-                what = 3;
-            }
-        }
         node.advance(t);
         match what {
             0 => break,
-            1 => {} // advance() already completed it
-            2 => {
+            1 => {
                 let burst = demands.burst();
                 next_arrival = gaps.after(t);
                 for _ in 0..burst {
@@ -1171,11 +1177,10 @@ fn event_loop(
                     node.arrive(t, demand);
                 }
             }
-            3 => {
+            _ => {
                 node.kick(t);
                 kick_at = None;
             }
-            _ => unreachable!(),
         }
     }
     kick_at
@@ -1628,5 +1633,15 @@ mod tests {
     #[should_panic(expected = "monitoring interval must be positive, got inf")]
     fn an_infinite_interval_is_rejected() {
         let _ = engine(service(1000.0, 1.0), &[0.5], 1.0, 9).with_interval(f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid reconfiguration costs: core_migration_stall_s must be")]
+    fn a_nan_migration_stall_is_rejected() {
+        let costs = ReconfigCosts {
+            core_migration_stall_s: f64::NAN,
+            ..ReconfigCosts::juno_defaults()
+        };
+        let _ = engine(service(1000.0, 1.0), &[0.5], 1.0, 9).with_costs(costs);
     }
 }

@@ -10,7 +10,9 @@
 //! speed-equal servers into different *effective* speeds. Rescales either
 //! keep each server's speed or land every server on one speed (all ties).
 //! An at-scale arm drives ladders of 32–64 servers under arrivals dense
-//! enough to keep every server busy and the queue growing.
+//! enough to keep every server busy and the queue growing, and a
+//! tie-storm arm keeps every time on a dyadic grid so that completions,
+//! arrivals, stall ends and timeouts coincide exactly.
 
 use hipster_platform::{CoreKind, Frequency};
 use hipster_sim::reference::ReferenceNode;
@@ -138,6 +140,48 @@ fn at_scale_ops() -> impl Strategy<Value = Vec<Op>> {
     })
 }
 
+/// The tie-storm arm: gaps and memory time in steps of 1/16 s, work in
+/// steps of 1/8 unit and stalls in steps of 1/16 s on ladders of speeds 1,
+/// 2 and 4 with slowdowns 1, 1.25 and 1.5, rescaled by 0.5 or 2. Every sum
+/// is then an exact binary fraction, so completions fall due exactly at
+/// arrivals, kicks and interval ends, and ages exactly at the timeout.
+/// Each interval boundary follows a grid step, which keeps it off the
+/// harness's 1 µs nudge for empty intervals.
+fn tie_storm_ops() -> impl Strategy<Value = Vec<Op>> {
+    let sixteenths = |k: u32| f64::from(k) / 16.0;
+    let arrival = move || {
+        (0u32..4, 1u32..16, 0u32..4).prop_map(move |(dt, work, mem)| {
+            vec![Op::Arrive {
+                dt: sixteenths(dt),
+                work: f64::from(work) / 8.0,
+                mem: sixteenths(mem),
+            }]
+        })
+    };
+    let step = prop_oneof![
+        arrival(),
+        arrival(),
+        arrival(),
+        (0u32..8).prop_map(move |dt| vec![Op::Advance { dt: sixteenths(dt) }]),
+        (1usize..6, 0u64..8, 0u32..4).prop_map(move |(n, seed, stall)| vec![Op::Remap {
+            n,
+            seed,
+            stall: sixteenths(stall),
+            mixed: false
+        }]),
+        (any::<bool>(), 0u32..3, any::<bool>()).prop_map(move |(up, stall, uniform)| {
+            vec![Op::Rescale {
+                factor: if up { 2.0 } else { 0.5 },
+                stall: sixteenths(stall),
+                uniform,
+            }]
+        }),
+        Just(vec![Op::RevokeAll]),
+        (1u32..8).prop_map(move |dt| vec![Op::Advance { dt: sixteenths(dt) }, Op::Interval]),
+    ];
+    prop::collection::vec(step, 1..200).prop_map(|steps| steps.into_iter().flatten().collect())
+}
+
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         (0.0f64..0.4, 0.1f64..4.0, 0.0f64..0.5).prop_map(|(dt, work, mem)| Op::Arrive {
@@ -197,29 +241,13 @@ fn run_differential(ops: &[Op], timeout: Option<f64>) -> usize {
     // the engine's event loop) before the first later event, so arrivals
     // and advances land *inside* the stall window.
     let mut kick_at: Option<f64> = None;
-    let mut new_done = Vec::new();
-    let mut old_done = Vec::new();
     let mut peak_in_flight = 0;
-    let deliver_kick =
-        |new: &mut ServiceNode, old: &mut ReferenceNode, kick_at: &mut Option<f64>, t: f64| {
-            if let Some(k) = *kick_at {
-                if k <= t {
-                    new.kick(k);
-                    old.kick(k);
-                    *kick_at = None;
-                }
-            }
-        };
     for op in ops {
         match *op {
             Op::Arrive { dt, work, mem } => {
                 now += dt;
                 deliver_kick(&mut new, &mut old, &mut kick_at, now);
-                new_done.clear();
-                old_done.clear();
-                new.advance_collect(now, &mut new_done);
-                old.advance_collect(now, &mut old_done);
-                assert_eq!(new_done, old_done, "completion streams diverged");
+                advance_both(&mut new, &mut old, now);
                 let d = Demand::new(work, mem);
                 new.arrive(now, d);
                 old.arrive(now, d);
@@ -227,11 +255,7 @@ fn run_differential(ops: &[Op], timeout: Option<f64>) -> usize {
             Op::Advance { dt } => {
                 now += dt;
                 deliver_kick(&mut new, &mut old, &mut kick_at, now);
-                new_done.clear();
-                old_done.clear();
-                new.advance_collect(now, &mut new_done);
-                old.advance_collect(now, &mut old_done);
-                assert_eq!(new_done, old_done, "completion streams diverged");
+                advance_both(&mut new, &mut old, now);
             }
             Op::Remap {
                 n,
@@ -310,15 +334,33 @@ fn run_differential(ops: &[Op], timeout: Option<f64>) -> usize {
     }
     now += 1000.0;
     deliver_kick(&mut new, &mut old, &mut kick_at, now);
-    new_done.clear();
-    old_done.clear();
-    new.advance_collect(now, &mut new_done);
-    old.advance_collect(now, &mut old_done);
-    assert_eq!(new_done, old_done, "drain streams diverged");
+    advance_both(&mut new, &mut old, now);
     let a = new.end_interval(now, 0.95);
     let b = old.end_interval(now, 0.95);
     assert_eq!(a, b, "final interval stats diverged");
     peak_in_flight
+}
+
+/// Retires every completion due by `to` on both nodes, asserting equal
+/// completion streams.
+fn advance_both(new: &mut ServiceNode, old: &mut ReferenceNode, to: f64) {
+    let mut new_done = Vec::new();
+    let mut old_done = Vec::new();
+    new.advance_collect(to, &mut new_done);
+    old.advance_collect(to, &mut old_done);
+    assert_eq!(new_done, old_done, "completion streams diverged");
+}
+
+/// Delivers the pending kick if it falls due by `t`, in the engine's
+/// order: completions due by the kick retire first, then the kick
+/// dispatches.
+fn deliver_kick(new: &mut ServiceNode, old: &mut ReferenceNode, kick_at: &mut Option<f64>, t: f64) {
+    if let Some(k) = kick_at.filter(|&k| k <= t) {
+        advance_both(new, old, k);
+        new.kick(k);
+        old.kick(k);
+        *kick_at = None;
+    }
 }
 
 /// Witness for the at-scale arm: heavy arrivals 5 ms apart fill every
@@ -365,5 +407,10 @@ proptest! {
     #[test]
     fn service_node_matches_reference_node_on_a_64_server_ladder(ops in at_scale_ops()) {
         run_differential(&ops, None);
+    }
+
+    #[test]
+    fn service_node_matches_reference_node_in_a_tie_storm(ops in tie_storm_ops()) {
+        run_differential(&ops, Some(0.75));
     }
 }
