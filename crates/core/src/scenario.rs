@@ -661,6 +661,45 @@ mod tests {
     }
 
     #[test]
+    fn invalid_contention_coefficients_are_typed_errors() {
+        // The engine clamps the slowdown to at least 1, so a NaN coefficient
+        // would silently remove contention and interference jitter alike.
+        let collocated = || base().collocated().batch_with(|| Box::new(FixedIps));
+        let bad = hipster_sim::ContentionModel {
+            same_cluster_per_batch_core: f64::NAN,
+            global_per_batch_core: -5.0,
+        };
+        let spec = collocated().contention(bad);
+        assert!(matches!(
+            spec.validate(),
+            Err(ScenarioError::Engine(EngineSpecError::InvalidCost {
+                field: "same_cluster_per_batch_core",
+                min,
+                ..
+            })) if min == 0.0
+        ));
+        assert!(matches!(spec.run(), Err(ScenarioError::Engine(_))));
+        let bad = hipster_sim::ContentionModel {
+            global_per_batch_core: -5.0,
+            ..hipster_sim::ContentionModel::juno_defaults()
+        };
+        assert!(matches!(
+            collocated().contention(bad).validate(),
+            Err(ScenarioError::Engine(EngineSpecError::InvalidCost {
+                field: "global_per_batch_core",
+                value,
+                ..
+            })) if value == -5.0
+        ));
+        for ok in [
+            hipster_sim::ContentionModel::juno_defaults(),
+            hipster_sim::ContentionModel::none(),
+        ] {
+            assert_eq!(collocated().contention(ok).validate(), Ok(()));
+        }
+    }
+
+    #[test]
     fn collocated_scenario_runs_batch() {
         let out = base()
             .collocated()

@@ -27,10 +27,11 @@ pub enum EngineSpecError {
         /// The rejected sigma.
         sigma: f64,
     },
-    /// A reconfiguration cost is not finite or lies below its minimum: 0
-    /// for the two stalls, 1 for the cold-cache penalty.
+    /// A reconfiguration cost or contention coefficient is not finite or
+    /// lies below its minimum: 0 for the two stalls and both
+    /// [`ContentionModel`] coefficients, 1 for the cold-cache penalty.
     InvalidCost {
-        /// The rejected [`ReconfigCosts`] field.
+        /// The rejected [`ReconfigCosts`] or [`ContentionModel`] field.
         field: &'static str,
         /// Its value.
         value: f64,
@@ -130,6 +131,7 @@ impl EngineSpec {
             });
         }
         self.costs.validate()?;
+        self.contention.validate()?;
         self.faults.validate().map_err(EngineSpecError::Fault)?;
         self.hedge.validate().map_err(EngineSpecError::Fault)?;
         Ok(())

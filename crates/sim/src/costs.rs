@@ -50,18 +50,23 @@ impl ReconfigCosts {
     /// field that is not. A NaN stall would never end, and a negative one
     /// would start queued work in the past.
     pub fn validate(&self) -> Result<(), EngineSpecError> {
-        let fields = [
+        first_out_of_range(&[
             ("core_migration_stall_s", self.core_migration_stall_s, 0.0),
             ("dvfs_stall_s", self.dvfs_stall_s, 0.0),
             ("cold_cache_penalty", self.cold_cache_penalty, 1.0),
-        ];
-        match fields
-            .into_iter()
-            .find(|&(_, value, min)| !(value.is_finite() && value >= min))
-        {
-            Some((field, value, min)) => Err(EngineSpecError::InvalidCost { field, value, min }),
-            None => Ok(()),
-        }
+        ])
+    }
+}
+
+/// The first `(field, value, min)` whose value is not finite and at least
+/// `min`, as an [`EngineSpecError::InvalidCost`].
+fn first_out_of_range(fields: &[(&'static str, f64, f64)]) -> Result<(), EngineSpecError> {
+    match fields
+        .iter()
+        .find(|&&(_, value, min)| !(value.is_finite() && value >= min))
+    {
+        Some(&(field, value, min)) => Err(EngineSpecError::InvalidCost { field, value, min }),
+        None => Ok(()),
     }
 }
 
@@ -109,6 +114,21 @@ impl ContentionModel {
             same_cluster_per_batch_core: 0.0,
             global_per_batch_core: 0.0,
         }
+    }
+
+    /// Checks that both coefficients are finite and non-negative, returning
+    /// the first that is not. The engine clamps the slowdown to at least 1,
+    /// which would turn a NaN coefficient into no contention (and no
+    /// interference jitter) at all.
+    pub fn validate(&self) -> Result<(), EngineSpecError> {
+        first_out_of_range(&[
+            (
+                "same_cluster_per_batch_core",
+                self.same_cluster_per_batch_core,
+                0.0,
+            ),
+            ("global_per_batch_core", self.global_per_batch_core, 0.0),
+        ])
     }
 
     /// The LC service slowdown factor (≥ 1).
@@ -177,6 +197,32 @@ mod tests {
         assert_eq!(c.lc_slowdown(0, 0), 1.0);
         let s = c.lc_slowdown(2, 4);
         assert!((s - 1.24).abs() < 1e-12);
+    }
+
+    #[test]
+    fn contention_validate_rejects_each_coefficient_out_of_range() {
+        assert_eq!(ContentionModel::juno_defaults().validate(), Ok(()));
+        assert_eq!(ContentionModel::none().validate(), Ok(()));
+        let bad = [
+            ("same_cluster_per_batch_core", f64::NAN),
+            ("same_cluster_per_batch_core", -0.01),
+            ("global_per_batch_core", f64::INFINITY),
+            ("global_per_batch_core", -5.0),
+        ];
+        for (want, value) in bad {
+            let mut c = ContentionModel::juno_defaults();
+            if want == "global_per_batch_core" {
+                c.global_per_batch_core = value;
+            } else {
+                c.same_cluster_per_batch_core = value;
+            }
+            match c.validate() {
+                Err(EngineSpecError::InvalidCost { field, min, .. }) => {
+                    assert_eq!((field, min), (want, 0.0));
+                }
+                other => panic!("{c:?} validated as {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -423,7 +423,15 @@ impl Engine {
     }
 
     /// Overrides the contention model.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a coefficient fails [`ContentionModel::validate`], the
+    /// check [`EngineSpec::validate`](crate::EngineSpec::validate) makes.
     pub fn with_contention(mut self, contention: ContentionModel) -> Self {
+        if let Err(e) = contention.validate() {
+            panic!("invalid contention model: {e}");
+        }
         self.contention = contention;
         self
     }
@@ -1643,5 +1651,15 @@ mod tests {
             ..ReconfigCosts::juno_defaults()
         };
         let _ = engine(service(1000.0, 1.0), &[0.5], 1.0, 9).with_costs(costs);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid contention model: same_cluster_per_batch_core must be")]
+    fn a_nan_contention_coefficient_is_rejected() {
+        let contention = ContentionModel {
+            same_cluster_per_batch_core: f64::NAN,
+            ..ContentionModel::juno_defaults()
+        };
+        let _ = engine(service(1000.0, 1.0), &[0.5], 1.0, 9).with_contention(contention);
     }
 }

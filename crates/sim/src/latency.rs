@@ -2,9 +2,11 @@
 //!
 //! The QoS Monitor samples the tail latency (95th/99th/90th percentile) of
 //! the requests completed in each monitoring interval. [`LatencyRecorder`]
-//! collects exact per-interval samples into a buffer that is reused across
-//! intervals; [`percentile`] computes exact order statistics by selection
-//! (expected O(n), no full sort).
+//! collects exact per-interval samples into a buffer it borrows from its
+//! thread for the interval; [`percentile`] computes exact order statistics
+//! by selection (expected O(n), no full sort).
+
+use std::cell::Cell;
 
 /// Exact percentile of a sample set using linear interpolation between order
 /// statistics (the same convention as `numpy.percentile(..., 'linear')`).
@@ -62,7 +64,23 @@ pub fn percentile(samples: &mut [f64], p: f64) -> Option<f64> {
     Some(lo_v + (hi_v - lo_v) * frac)
 }
 
+thread_local! {
+    /// The sample buffer this thread lends to the next recorder that starts
+    /// an interval here. Recorders step one interval at a time, so a thread
+    /// stepping many nodes in turn (a cluster's node stage) keeps one warm
+    /// buffer sized to the largest interval it saw, not one per node.
+    static SPARE: Cell<Vec<f64>> = const { Cell::new(Vec::new()) };
+}
+
 /// Collects latency samples for the current monitoring interval.
+///
+/// The buffer is borrowed from the recording thread at the interval's first
+/// [`record`](Self::record) and handed back by
+/// [`take_interval`](Self::take_interval), so an idle recorder holds no
+/// memory. Borrowing takes the buffer out of the thread's cell, so two
+/// recorders open on one thread never share it. Dropping a recorder frees
+/// its thread's spare, so a thread keeps one only while the engines or
+/// cluster nodes that record on it live.
 #[derive(Debug, Clone, Default)]
 pub struct LatencyRecorder {
     samples: Vec<f64>,
@@ -84,7 +102,17 @@ impl LatencyRecorder {
             latency_s.is_finite() && latency_s >= 0.0,
             "invalid latency: {latency_s}"
         );
+        if self.samples.capacity() == 0 {
+            self.borrow_spare();
+        }
         self.samples.push(latency_s);
+    }
+
+    /// Takes this thread's spare buffer for the interval (it may be empty).
+    /// Kept out of line so that `record` stays small enough to inline.
+    #[cold]
+    fn borrow_spare(&mut self) {
+        self.samples = SPARE.take();
     }
 
     /// Number of samples collected so far this interval.
@@ -101,9 +129,10 @@ impl LatencyRecorder {
     ///
     /// Returns `(tail, mean, count)` where `tail` is the `p`-th percentile,
     /// computed by selection (see [`percentile`]). With no samples, both
-    /// latencies are `None`. The sample buffer's capacity is retained, so a
-    /// recorder that is reused interval after interval stops allocating once
-    /// it has seen its high-water-mark completion count.
+    /// latencies are `None`. The emptied buffer goes back to the calling
+    /// thread's spare, replacing the one there, so the next recorder to
+    /// start an interval on this thread reuses its capacity and the
+    /// recorder itself holds nothing between intervals.
     pub fn take_interval(&mut self, p: f64) -> (Option<f64>, Option<f64>, usize) {
         let n = self.samples.len();
         if n == 0 {
@@ -112,7 +141,16 @@ impl LatencyRecorder {
         let mean = self.samples.iter().sum::<f64>() / n as f64;
         let tail = percentile(&mut self.samples, p);
         self.samples.clear();
+        SPARE.set(std::mem::take(&mut self.samples));
         (tail, Some(mean), n)
+    }
+}
+
+impl Drop for LatencyRecorder {
+    fn drop(&mut self) {
+        // `try_with`: the thread's cell may already be gone when a recorder
+        // is dropped during thread teardown.
+        let _ = SPARE.try_with(Cell::take);
     }
 }
 
@@ -149,6 +187,38 @@ mod tests {
         // Cleared after take.
         assert!(r.is_empty());
         assert_eq!(r.take_interval(0.95), (None, None, 0));
+    }
+
+    #[test]
+    fn recorders_on_one_thread_take_turns_with_one_buffer() {
+        std::thread::spawn(|| {
+            let mut a = LatencyRecorder::new();
+            for i in 0..1000 {
+                a.record(f64::from(i));
+            }
+            let cap = a.samples.capacity();
+            assert_eq!(a.take_interval(1.0).2, 1000);
+            assert_eq!(a.samples.capacity(), 0, "an idle recorder holds no buffer");
+            let mut b = LatencyRecorder::new();
+            b.record(1.0);
+            assert_eq!(b.samples.capacity(), cap, "b reuses a's buffer");
+            // While b holds it, another recorder starts a buffer of its own.
+            let mut c = LatencyRecorder::new();
+            c.record(2.0);
+            assert!(c.samples.capacity() < cap);
+            assert_eq!(c.take_interval(1.0), (Some(2.0), Some(2.0), 1));
+            assert_eq!(b.take_interval(1.0), (Some(1.0), Some(1.0), 1));
+            // Dropping a recorder frees the thread's spare.
+            drop(c);
+            let mut d = LatencyRecorder::new();
+            d.record(3.0);
+            assert!(
+                d.samples.capacity() < cap,
+                "the spare outlived its recorders"
+            );
+        })
+        .join()
+        .expect("recorder thread");
     }
 
     #[test]

@@ -41,6 +41,18 @@
 //! [`ReferenceNode`](crate::reference::ReferenceNode) pins, and every
 //! floating-point expression keeps that oracle's operand order, so the
 //! two produce bit-identical traces (`tests/node_equivalence.rs`).
+//!
+//! Waiting requests sit in a FIFO of fixed-size segments of 128 requests.
+//! The oldest is a ring (a `VecDeque`, so preemption can requeue at its
+//! front); arrivals that find it full fill the segments behind it. When the
+//! ring drains, the next segment becomes the ring in O(1) and the drained
+//! one is freed. A cluster node's backlog builds up and drains within a few
+//! intervals, so the queue memory a node holds follows its live backlog,
+//! not the longest queue it ever had. The ring is empty only when the
+//! whole queue is, so peeking and popping touch the ring alone; an arrival
+//! costs one length compare more than a bare `VecDeque`, and a spilled one
+//! a `Vec` push. Latency samples go into a buffer the node borrows from its
+//! thread for each interval (see [`LatencyRecorder`]).
 
 use std::collections::VecDeque;
 
@@ -48,6 +60,120 @@ use hipster_platform::{CoreKind, Frequency};
 
 use crate::latency::LatencyRecorder;
 use crate::request::{Demand, Request, RequestId};
+
+/// Requests per queue segment. The ring at the head of a node's queue
+/// holds one segment's worth before later arrivals spill.
+const SEGMENT: usize = 128;
+
+/// The node's FIFO of waiting requests (see the module docs): a ring at the
+/// head, then full segments, oldest first, then the segment arrivals are
+/// filling.
+///
+/// Invariants: `limit` is 0 exactly while requests sit behind the ring,
+/// and the ring is then non-empty; every segment in `spill` holds
+/// [`SEGMENT`] requests; `tail` holds at most [`SEGMENT`] and has no
+/// allocation while nothing is spilled.
+#[derive(Debug, Clone)]
+struct Fifo {
+    head: VecDeque<Request>,
+    /// Full segments behind the ring, oldest first.
+    spill: VecDeque<Vec<Request>>,
+    /// The newest arrivals, behind `spill`.
+    tail: Vec<Request>,
+    /// The ring length at which `push_back` spills: [`SEGMENT`] while
+    /// nothing is spilled, 0 while something is, so later arrivals queue
+    /// behind it.
+    limit: usize,
+}
+
+impl Fifo {
+    fn new() -> Self {
+        Fifo {
+            head: VecDeque::new(),
+            spill: VecDeque::new(),
+            tail: Vec::new(),
+            limit: SEGMENT,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.head.len() + self.spill.len() * SEGMENT + self.tail.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.head.is_empty()
+    }
+
+    fn front(&self) -> Option<&Request> {
+        self.head.front()
+    }
+
+    fn push_back(&mut self, req: Request) {
+        if self.head.len() < self.limit {
+            self.head.push_back(req);
+        } else {
+            // Empty (the first spill) or full.
+            if self.tail.len() % SEGMENT == 0 {
+                self.seal_tail();
+            }
+            self.tail.push(req);
+        }
+    }
+
+    /// Requeues `req` ahead of every waiting request. The ring may grow
+    /// past [`SEGMENT`] here; the next refill replaces it.
+    fn push_front(&mut self, req: Request) {
+        self.head.push_front(req);
+    }
+
+    fn pop_front(&mut self) -> Option<Request> {
+        let req = self.head.pop_front();
+        if self.head.is_empty() && self.limit == 0 {
+            self.refill();
+        }
+        req
+    }
+
+    /// Moves a full `tail` behind the other segments (none on the first
+    /// spill) and opens a new one.
+    #[cold]
+    fn seal_tail(&mut self) {
+        let full = std::mem::replace(&mut self.tail, Vec::with_capacity(SEGMENT));
+        if !full.is_empty() {
+            self.spill.push_back(full);
+        }
+        self.limit = 0;
+    }
+
+    /// The ring drained while requests wait behind it: the oldest segment
+    /// becomes the ring in O(1), and the drained ring is freed. Once `tail`
+    /// moves in, nothing is spilled, arrivals go to the ring again, and the
+    /// segment list is freed too.
+    #[cold]
+    fn refill(&mut self) {
+        let next = match self.spill.pop_front() {
+            Some(seg) => seg,
+            None => {
+                self.spill = VecDeque::new();
+                self.limit = SEGMENT;
+                std::mem::take(&mut self.tail)
+            }
+        };
+        self.head = VecDeque::from(next);
+    }
+
+    /// Requests' worth of memory the queue holds, counting the segment
+    /// list's slots.
+    #[cfg(test)]
+    fn held(&self) -> usize {
+        let slots = self.spill.capacity() * std::mem::size_of::<Vec<Request>>()
+            / std::mem::size_of::<Request>();
+        self.head.capacity()
+            + self.spill.iter().map(Vec::capacity).sum::<usize>()
+            + self.tail.capacity()
+            + slots
+    }
+}
 
 /// Specification of one server (one core allocated to the LC workload).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -144,7 +270,7 @@ pub struct NodeInterval {
 /// dispatch (see the module docs for the tie orders).
 #[derive(Debug, Clone)]
 pub struct ServiceNode {
-    queue: VecDeque<Request>,
+    queue: Fifo,
     servers: Vec<Server>,
     /// Number of busy servers.
     in_flight: usize,
@@ -169,7 +295,7 @@ impl ServiceNode {
     /// Creates a node with no servers (configure before use).
     pub fn new() -> Self {
         ServiceNode {
-            queue: VecDeque::new(),
+            queue: Fifo::new(),
             servers: Vec::new(),
             in_flight: 0,
             next: None,
@@ -230,14 +356,20 @@ impl ServiceNode {
     ///
     /// # Panics
     ///
-    /// Panics if `specs` is empty, if any spec has a non-positive speed or a
-    /// slowdown below 1, or if `preempt` is `false` while the server count
-    /// changes.
+    /// Panics if `specs` is empty, if any spec has a speed that is not
+    /// finite and positive or a slowdown that is not finite and at least 1,
+    /// or if `preempt` is `false` while the server count changes.
     pub fn reconfigure(&mut self, now: f64, specs: &[ServerSpec], preempt: bool, stall_s: f64) {
         assert!(!specs.is_empty(), "service node needs at least one server");
         for s in specs {
-            assert!(s.speed > 0.0, "server speed must be positive: {s:?}");
-            assert!(s.slowdown >= 1.0, "slowdown must be ≥ 1: {s:?}");
+            assert!(
+                s.speed.is_finite() && s.speed > 0.0,
+                "server speed must be finite and positive: {s:?}"
+            );
+            assert!(
+                s.slowdown.is_finite() && s.slowdown >= 1.0,
+                "slowdown must be finite and ≥ 1: {s:?}"
+            );
         }
         if preempt {
             self.preempt_all(now);
@@ -496,9 +628,11 @@ impl ServiceNode {
     /// The tail latency is the `p`-th percentile of completions in the
     /// interval, computed by selection rather than a full sort; see
     /// [`NodeInterval::tail_latency_s`] for the no-completion fallback. The
-    /// returned [`NodeInterval::busy`] vector is the node's only
-    /// per-interval allocation — it is owned by the caller's interval
-    /// record, so it cannot be recycled here.
+    /// returned [`NodeInterval::busy`] vector is allocated afresh each
+    /// interval, since the caller's interval record owns it. Beyond it, the
+    /// node allocates only when its backlog outgrows its queue's ring (see
+    /// the module docs) or its completions outgrow the latency buffer its
+    /// thread lends it, which goes back to the thread here.
     pub fn end_interval(&mut self, t_end: f64, p: f64) -> NodeInterval {
         let interval_start = self.interval_start;
         for s in self.servers.iter_mut().filter(|s| s.busy) {
@@ -562,6 +696,7 @@ fn remaining_fraction(started: f64, finish: f64, now: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn spec(kind: CoreKind, speed: f64) -> ServerSpec {
         ServerSpec {
@@ -891,10 +1026,222 @@ mod tests {
         assert_eq!(n.total_completed(), 1);
     }
 
+    /// One step of a [`Fifo`] test sequence.
+    #[derive(Debug, Clone)]
+    enum FifoOp {
+        PushBack(usize),
+        /// Preemption requeues: a few requests at the head.
+        PushFront(usize),
+        Pop(usize),
+        /// Pops until the ring refills from a segment (or the queue
+        /// empties), then requeues one request at the refilled ring's start.
+        RefillThenPushFront,
+        /// Carries on with a clone, whose buffers hold no spare capacity.
+        Clone,
+    }
+
+    /// Checks `q` against its `VecDeque` model and its own invariants.
+    fn check_fifo(q: &Fifo, model: &VecDeque<Request>) {
+        assert_eq!(q.len(), model.len());
+        assert_eq!(q.is_empty(), model.is_empty());
+        assert_eq!(q.front(), model.front());
+        let spilled = q.len() - q.head.len();
+        assert_eq!(q.limit == 0, spilled > 0);
+        assert!(
+            spilled == 0 || !q.head.is_empty(),
+            "empty ring ahead of spill"
+        );
+        assert!(q.spill.iter().all(|seg| seg.len() == SEGMENT));
+        assert!(q.tail.len() <= SEGMENT);
+        assert_eq!(q.tail.is_empty(), spilled == 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn fifo_matches_a_vecdeque(
+            ops in prop::collection::vec(
+                prop_oneof![
+                    (1usize..=300).prop_map(FifoOp::PushBack),
+                    (1usize..=8).prop_map(FifoOp::PushFront),
+                    (1usize..=300).prop_map(FifoOp::Pop),
+                    Just(FifoOp::RefillThenPushFront),
+                    Just(FifoOp::Clone),
+                ],
+                1..40,
+            ),
+        ) {
+            let mut q = Fifo::new();
+            let mut model = VecDeque::new();
+            let mut id = 0u64;
+            let mut fresh = || {
+                id += 1;
+                Request::new(RequestId(id), id as f64, Demand::new(1.0, 0.0))
+            };
+            for op in ops {
+                match op {
+                    FifoOp::PushBack(n) => {
+                        for _ in 0..n {
+                            let r = fresh();
+                            q.push_back(r);
+                            model.push_back(r);
+                        }
+                    }
+                    FifoOp::PushFront(n) => {
+                        for _ in 0..n {
+                            let r = fresh();
+                            q.push_front(r);
+                            model.push_front(r);
+                        }
+                    }
+                    FifoOp::Pop(n) => {
+                        for _ in 0..n {
+                            prop_assert_eq!(q.pop_front(), model.pop_front());
+                        }
+                    }
+                    FifoOp::RefillThenPushFront => {
+                        for _ in 0..q.head.len() {
+                            prop_assert_eq!(q.pop_front(), model.pop_front());
+                        }
+                        let r = fresh();
+                        q.push_front(r);
+                        model.push_front(r);
+                    }
+                    FifoOp::Clone => q = q.clone(),
+                }
+                check_fifo(&q, &model);
+            }
+            while let Some(r) = model.pop_front() {
+                prop_assert_eq!(q.pop_front(), Some(r));
+            }
+            prop_assert_eq!(q.pop_front(), None);
+            check_fifo(&q, &model);
+        }
+    }
+
+    #[test]
+    fn push_front_lands_ahead_of_a_freshly_refilled_ring() {
+        let r = |id: u64| Request::new(RequestId(id), id as f64, Demand::new(1.0, 0.0));
+        let mut q = Fifo::new();
+        let mut model = VecDeque::new();
+        for id in 0..3 * SEGMENT as u64 {
+            q.push_back(r(id));
+            model.push_back(r(id));
+        }
+        assert_eq!(
+            (q.head.len(), q.spill.len(), q.tail.len()),
+            (SEGMENT, 1, SEGMENT)
+        );
+        for _ in 0..SEGMENT {
+            assert_eq!(q.pop_front(), model.pop_front());
+        }
+        // The first spilled segment is now the ring, its head at the start.
+        assert_eq!((q.head.len(), q.spill.len()), (SEGMENT, 0));
+        q.push_front(r(1000));
+        model.push_front(r(1000));
+        check_fifo(&q, &model);
+        while let Some(req) = model.pop_front() {
+            assert_eq!(q.pop_front(), Some(req));
+            check_fifo(&q, &model);
+        }
+    }
+
+    #[test]
+    fn a_drained_spike_leaves_the_ring_and_at_most_one_segment() {
+        let mut n = one_server(1000.0);
+        for i in 0..10_000 {
+            n.arrive(f64::from(i) * 1e-5, Demand::new(1.0, 0.0));
+        }
+        assert_eq!(n.queue_len(), 9_999);
+        assert!(n.queue.held() >= 9_999, "{}", n.queue.held());
+        n.advance(100.0);
+        let iv = n.end_interval(100.0, 0.95);
+        assert_eq!((iv.completions, iv.queue_len), (10_000, 0));
+        assert!(
+            n.queue.held() <= 2 * SEGMENT,
+            "a drained queue holds {} requests' worth",
+            n.queue.held()
+        );
+    }
+
+    /// Request `i` of interval `iv` in a fixed arrival pattern whose
+    /// demands scale with `k`.
+    fn step(n: &mut ServiceNode, k: f64, iv: u32, i: u32) {
+        if i == 0 {
+            n.begin_interval(f64::from(iv));
+        }
+        let t = f64::from(iv) + f64::from(i) * 0.004;
+        n.advance(t);
+        n.arrive(t, Demand::new(k * (1.0 + f64::from(i % 7)), 0.001));
+    }
+
+    fn close(n: &mut ServiceNode, iv: u32) -> NodeInterval {
+        let end = f64::from(iv) + 1.0;
+        n.advance(end);
+        n.end_interval(end, 0.95)
+    }
+
+    fn interval(n: &mut ServiceNode, k: f64, iv: u32) -> NodeInterval {
+        for i in 0..200 {
+            step(n, k, iv, i);
+        }
+        close(n, iv)
+    }
+
+    #[test]
+    fn nodes_recording_in_turn_on_one_thread_keep_their_own_samples() {
+        let node = |speed| {
+            let mut n = ServiceNode::new();
+            n.reconfigure(0.0, &[spec(CoreKind::Big, speed)], true, 0.0);
+            n
+        };
+        // Alone, each on a thread of its own.
+        let alone = |speed, k| {
+            std::thread::spawn(move || {
+                let mut n = node(speed);
+                (0..3).map(|iv| interval(&mut n, k, iv)).collect::<Vec<_>>()
+            })
+            .join()
+            .expect("node thread")
+        };
+        let expected = (alone(1000.0, 1.0), alone(300.0, 3.0));
+        // In turn on this thread: whole intervals, as a cluster's node
+        // stage steps them, then request by request, so that both nodes
+        // hold a buffer at once.
+        for by_request in [false, true] {
+            let (mut a, mut b) = (node(1000.0), node(300.0));
+            let (mut a_out, mut b_out) = (Vec::new(), Vec::new());
+            for iv in 0..3 {
+                if by_request {
+                    for i in 0..200 {
+                        step(&mut a, 1.0, iv, i);
+                        step(&mut b, 3.0, iv, i);
+                    }
+                    a_out.push(close(&mut a, iv));
+                    b_out.push(close(&mut b, iv));
+                } else {
+                    a_out.push(interval(&mut a, 1.0, iv));
+                    b_out.push(interval(&mut b, 3.0, iv));
+                }
+            }
+            assert_eq!((a_out, b_out), expected, "by request: {by_request}");
+        }
+    }
+
     #[test]
     #[should_panic(expected = "at least one server")]
     fn reconfigure_rejects_empty() {
         ServiceNode::new().reconfigure(0.0, &[], true, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "slowdown must be finite")]
+    fn reconfigure_rejects_an_infinite_slowdown() {
+        // It used to pass `>= 1.0` and wedge the server.
+        let mut s = spec(CoreKind::Big, 1.0);
+        s.slowdown = f64::INFINITY;
+        ServiceNode::new().reconfigure(0.0, &[s], true, 0.0);
     }
 
     #[test]

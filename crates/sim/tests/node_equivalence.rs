@@ -10,9 +10,11 @@
 //! speed-equal servers into different *effective* speeds. Rescales either
 //! keep each server's speed or land every server on one speed (all ties).
 //! An at-scale arm drives ladders of 32–64 servers under arrivals dense
-//! enough to keep every server busy and the queue growing, and a
-//! tie-storm arm keeps every time on a dyadic grid so that completions,
-//! arrivals, stall ends and timeouts coincide exactly.
+//! enough to keep every server busy and the queue growing, a spike arm
+//! queues far past the node's ring and several of its spill segments while
+//! remaps, a rescale and a revocation land mid-spike, and a tie-storm arm
+//! keeps every time on a dyadic grid so that completions, arrivals, stall
+//! ends and timeouts coincide exactly.
 
 use hipster_platform::{CoreKind, Frequency};
 use hipster_sim::reference::ReferenceNode;
@@ -182,6 +184,64 @@ fn tie_storm_ops() -> impl Strategy<Value = Vec<Op>> {
     prop::collection::vec(step, 1..200).prop_map(|steps| steps.into_iter().flatten().collect())
 }
 
+/// A backlog past the node's 128-request ring and three 128-request spill
+/// segments.
+const DEEP: usize = 512;
+
+/// The spike arm: a few servers, then arrivals about 1 ms apart, far more
+/// than they drain, so the backlog grows past the ring and several spill
+/// segments (the at-scale arm peaks below 300). A preempting remap, a DVFS
+/// rescale and a full revocation land in the middle of the spike; servers
+/// come back, the interval closes, and the harness drains the rest.
+fn spike_ops() -> impl Strategy<Value = Vec<Op>> {
+    let burst = |len: std::ops::Range<usize>| {
+        let arrival = (0.0f64..0.002, 0.5f64..2.0, 0.0f64..0.1)
+            .prop_map(|(dt, work, mem)| Op::Arrive { dt, work, mem });
+        prop::collection::vec(arrival, len)
+    };
+    let remap = |stall: f64| {
+        (1usize..6, 0u64..10, any::<bool>(), 0.0f64..1.0).prop_map(move |(n, seed, mixed, s)| {
+            Op::Remap {
+                n,
+                seed,
+                stall: s * stall,
+                mixed,
+            }
+        })
+    };
+    let rescale =
+        (0.5f64..2.0, 0.0f64..0.01, any::<bool>()).prop_map(|(factor, stall, uniform)| {
+            Op::Rescale {
+                factor,
+                stall,
+                uniform,
+            }
+        });
+    (
+        (remap(0.0), burst(600..900)),
+        (remap(0.05), burst(100..300)),
+        (rescale, burst(100..300)),
+        burst(50..200),
+        (remap(0.05), burst(100..300)),
+    )
+        .prop_map(
+            |((start, b0), (remap, b1), (rescale, b2), revoked, (back, b3))| {
+                let mut ops = vec![start];
+                ops.extend(b0);
+                ops.push(remap);
+                ops.extend(b1);
+                ops.push(rescale);
+                ops.extend(b2);
+                ops.push(Op::RevokeAll);
+                ops.extend(revoked);
+                ops.push(back);
+                ops.extend(b3);
+                ops.push(Op::Interval);
+                ops
+            },
+        )
+}
+
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         (0.0f64..0.4, 0.1f64..4.0, 0.0f64..0.5).prop_map(|(dt, work, mem)| Op::Arrive {
@@ -220,10 +280,17 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// The most requests a differential run had in flight, and waiting, at
+/// once.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Peaks {
+    in_flight: usize,
+    queued: usize,
+}
+
 /// Applies `ops` to both implementations in lock-step, asserting identical
-/// observable behaviour after every step. Returns the most requests ever
-/// in flight at once.
-fn run_differential(ops: &[Op], timeout: Option<f64>) -> usize {
+/// observable behaviour after every step.
+fn run_differential(ops: &[Op], timeout: Option<f64>) -> Peaks {
     let mut new = ServiceNode::new();
     let mut old = ReferenceNode::new();
     new.set_timeout(timeout);
@@ -241,7 +308,10 @@ fn run_differential(ops: &[Op], timeout: Option<f64>) -> usize {
     // the engine's event loop) before the first later event, so arrivals
     // and advances land *inside* the stall window.
     let mut kick_at: Option<f64> = None;
-    let mut peak_in_flight = 0;
+    let mut peaks = Peaks {
+        in_flight: 0,
+        queued: 0,
+    };
     for op in ops {
         match *op {
             Op::Arrive { dt, work, mem } => {
@@ -324,7 +394,8 @@ fn run_differential(ops: &[Op], timeout: Option<f64>) -> usize {
             "next completion diverged"
         );
         assert_eq!(new.total_completed(), old.total_completed());
-        peak_in_flight = peak_in_flight.max(new.in_flight());
+        peaks.in_flight = peaks.in_flight.max(new.in_flight());
+        peaks.queued = peaks.queued.max(new.queue_len());
     }
     // A revoked node gets its servers back, then both drain and compare
     // the final interval.
@@ -338,7 +409,7 @@ fn run_differential(ops: &[Op], timeout: Option<f64>) -> usize {
     let a = new.end_interval(now, 0.95);
     let b = old.end_interval(now, 0.95);
     assert_eq!(a, b, "final interval stats diverged");
-    peak_in_flight
+    peaks
 }
 
 /// Retires every completion due by `to` on both nodes, asserting equal
@@ -382,7 +453,7 @@ fn sixty_four_server_ladder_runs_full() {
         .chain(arrivals)
         .chain([Op::Interval])
         .collect();
-    assert_eq!(run_differential(&ops, None), 64);
+    assert_eq!(run_differential(&ops, None).in_flight, 64);
 }
 
 proptest! {
@@ -407,6 +478,20 @@ proptest! {
     #[test]
     fn service_node_matches_reference_node_on_a_64_server_ladder(ops in at_scale_ops()) {
         run_differential(&ops, None);
+    }
+
+    #[test]
+    fn service_node_matches_reference_node_through_a_deep_spike(ops in spike_ops()) {
+        let p = run_differential(&ops, None);
+        prop_assert!(p.queued > DEEP, "the spike queued only {}", p.queued);
+    }
+
+    #[test]
+    fn service_node_matches_reference_node_through_a_deep_spike_with_timeouts(
+        ops in spike_ops(),
+    ) {
+        let p = run_differential(&ops, Some(0.75));
+        prop_assert!(p.queued > DEEP, "the spike queued only {}", p.queued);
     }
 
     #[test]
