@@ -952,14 +952,10 @@ impl ClusterSim {
                         }
                     }
                 }
-                FaultState::Straggling { .. } => {
-                    cx.straggling_nodes += 1;
-                    if self.private_dispatch.is_masked(i) {
-                        self.private_dispatch.set_masked(i, false);
-                        self.digest = fnv_fold(self.digest, (3 << 32) | i as u64);
+                FaultState::Straggling { .. } | FaultState::Healthy => {
+                    if state.is_faulted() {
+                        cx.straggling_nodes += 1;
                     }
-                }
-                FaultState::Healthy => {
                     if self.private_dispatch.is_masked(i) {
                         self.private_dispatch.set_masked(i, false);
                         self.digest = fnv_fold(self.digest, (3 << 32) | i as u64);

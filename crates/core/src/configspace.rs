@@ -11,7 +11,7 @@
 //! [`power_ladder`](hipster_platform::power_ladder) is ascending power —
 //! the same order every tie-break in the policy depends on.
 
-use crate::fxhash::FxHashMap;
+use std::collections::HashMap;
 
 use hipster_platform::{power_ladder, CoreConfig, Platform};
 
@@ -36,7 +36,7 @@ use hipster_platform::{power_ladder, CoreConfig, Platform};
 #[derive(Debug, Clone, Default)]
 pub struct ConfigSpace {
     configs: Vec<CoreConfig>,
-    index: FxHashMap<CoreConfig, u32>,
+    index: HashMap<CoreConfig, u32>,
 }
 
 impl ConfigSpace {
@@ -48,7 +48,7 @@ impl ConfigSpace {
     /// *set* has one index per action, and a duplicate would make
     /// index-based and config-based lookups disagree.
     pub fn new(configs: Vec<CoreConfig>) -> Self {
-        let mut index = FxHashMap::default();
+        let mut index = HashMap::new();
         for (i, c) in configs.iter().enumerate() {
             let prev = index.insert(*c, i as u32);
             assert!(

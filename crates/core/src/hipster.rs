@@ -20,7 +20,7 @@
 //! A pure-RL mode (ε-greedy over the same table, no heuristic) is included
 //! for the ablation the paper argues against in §3.1.
 
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 
 use hipster_platform::{power_ladder, CoreConfig, Platform};
 use hipster_sim::SimRng;
@@ -28,7 +28,6 @@ use hipster_sim::SimRng;
 use crate::bucket::LoadBuckets;
 use crate::configspace::ConfigSpace;
 use crate::feedback::{FeedbackController, Zones};
-use crate::fxhash::FxHashSet;
 use crate::policy::{Observation, Policy};
 use crate::qtable::QTable;
 use crate::reward::{reward, Objective, RewardParams};
@@ -76,7 +75,7 @@ pub struct Hipster {
     consecutive_safe: u32,
     /// (bucket, action index) pairs that initiated a violation — never
     /// probed again at that bucket (argmax remains free to choose them).
-    probe_blacklist: FxHashSet<(u32, u32)>,
+    probe_blacklist: HashSet<(u32, u32)>,
     /// Intervals left holding a probed configuration so its table entry
     /// converges enough to compete with incumbent values (α = 0.6 needs a
     /// handful of visits).
@@ -512,7 +511,7 @@ impl HipsterBuilder {
             heuristic_fallbacks: 0,
             consecutive_violations: 0,
             consecutive_safe: 0,
-            probe_blacklist: FxHashSet::default(),
+            probe_blacklist: HashSet::new(),
             probe_hold: 0,
         }
     }

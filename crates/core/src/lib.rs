@@ -67,7 +67,6 @@ pub mod cluster;
 mod configspace;
 mod feedback;
 mod fleet;
-mod fxhash;
 mod hipster;
 mod manager;
 mod metrics;
@@ -88,7 +87,6 @@ pub use cluster::{
 pub use configspace::ConfigSpace;
 pub use feedback::{FeedbackController, Zones};
 pub use fleet::{run_tasks, split_seed, Fleet, FleetError, FleetStats, PanicPolicy};
-pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use hipster::{Hipster, HipsterBuilder, Phase};
 pub use manager::Manager;
 pub use metrics::{energy_reduction_pct, PolicySummary};

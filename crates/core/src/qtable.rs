@@ -20,8 +20,9 @@
 //! differential property test pins the two to identical behaviour —
 //! tie-breaks and unexplored-state defaults included.
 
+use std::collections::HashMap;
+
 use crate::configspace::ConfigSpace;
-use crate::fxhash::FxHashMap;
 
 use hipster_platform::CoreConfig;
 
@@ -59,7 +60,7 @@ pub struct QTable {
     /// Count of set bits in `written`.
     dense_count: usize,
     /// Entries outside the space (or beyond [`MAX_DENSE_BUCKETS`]).
-    spill: FxHashMap<(u32, CoreConfig), f64>,
+    spill: HashMap<(u32, CoreConfig), f64>,
 }
 
 impl QTable {
@@ -395,7 +396,9 @@ impl QTable {
         }
     }
 
-    /// Iterates over all written entries as `((w, c), value)`.
+    /// Iterates over all written entries as `((w, c), value)`: dense ones
+    /// in `(bucket, index)` order, then spilled ones in no set order
+    /// ([`QTable::to_tsv`] sorts).
     pub fn iter(&self) -> impl Iterator<Item = ((u32, CoreConfig), f64)> + '_ {
         let n = self.space.len();
         let dense = self.dense.iter().enumerate().filter_map(move |(cell, &v)| {

@@ -11,7 +11,7 @@
 //! Nothing here is reachable from the hot path; the module exists so the
 //! fast implementation is falsifiable against a fixed reference.
 
-use crate::fxhash::FxHashMap;
+use std::collections::HashMap;
 
 use hipster_platform::CoreConfig;
 
@@ -20,7 +20,7 @@ use hipster_platform::CoreConfig;
 /// [`QTable`](crate::QTable); kept verbatim as the differential oracle.
 #[derive(Debug, Clone, Default)]
 pub struct ReferenceQTable {
-    table: FxHashMap<(u32, CoreConfig), f64>,
+    table: HashMap<(u32, CoreConfig), f64>,
 }
 
 impl ReferenceQTable {

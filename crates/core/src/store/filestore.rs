@@ -88,9 +88,8 @@ fn end_line(r: &SweepRecord) -> String {
     }
 }
 
-/// Renders one complete journal unit — begin + n intervals + end — in
-/// exactly the bytes [`FileStore::record`] appends, so compaction
-/// reproduces live units byte-identically.
+/// Renders one complete journal unit — begin + n intervals + end — as
+/// [`FileStore::record`] appends it in one write.
 fn render_unit(record: &SweepRecord) -> String {
     let mut unit = String::with_capacity(256 + 512 * record.intervals.len());
     unit.push_str(&begin_line(record));
@@ -309,55 +308,6 @@ impl FileStore {
     /// True when nothing has been recorded yet.
     pub fn is_empty(&self) -> bool {
         self.records.is_empty() && self.quarantine.is_empty()
-    }
-
-    /// Rewrites `journal.jsonl` keeping only live units — dropping
-    /// superseded re-records of the same cell index and quarantine lines
-    /// for cells that later completed — when the dead bytes they occupy
-    /// reach `min_dead_bytes`. Returns the bytes reclaimed (0 when below
-    /// the threshold, so callers can compact opportunistically after
-    /// every resume without churning healthy journals).
-    ///
-    /// The rewrite is atomic: the compacted journal is written to a
-    /// temporary file, fsync'd, and renamed over the original, so a
-    /// crash at any point leaves either the old or the new journal
-    /// intact. Live units are re-rendered in exactly the bytes
-    /// [`record`](SweepStore::record) appended, so a store reopened
-    /// after compaction restores every record byte-identically.
-    pub fn compact(&mut self, min_dead_bytes: u64) -> Result<u64, StoreError> {
-        let mut live = String::new();
-        for r in self.records.values() {
-            live.push_str(&render_unit(r));
-        }
-        for q in self.quarantine.values() {
-            // A quarantine whose cell later completed is dead weight —
-            // recovery drops it anyway.
-            if self.records.contains_key(&q.index) {
-                continue;
-            }
-            live.push_str(&quarantine_line(q));
-            live.push('\n');
-        }
-        let journal_path = Self::journal_path(&self.dir);
-        let file_len = fs::metadata(&journal_path)
-            .map_err(io_err("stat journal"))?
-            .len();
-        let dead = file_len.saturating_sub(live.len() as u64);
-        if dead < min_dead_bytes.max(1) {
-            return Ok(0);
-        }
-        let tmp = self.dir.join("journal.jsonl.tmp");
-        {
-            let mut f = File::create(&tmp).map_err(io_err("write compacted journal"))?;
-            f.write_all(live.as_bytes())
-                .map_err(io_err("write compacted journal"))?;
-            f.sync_data().map_err(io_err("sync compacted journal"))?;
-        }
-        fs::rename(&tmp, &journal_path).map_err(io_err("install compacted journal"))?;
-        sync_dir(&self.dir);
-        // The old append handle still points at the replaced inode.
-        self.journal = open_append(&journal_path, "reopen compacted journal")?;
-        Ok(dead)
     }
 
     fn append_journal(&mut self, unit: &str) -> Result<(), StoreError> {
@@ -632,66 +582,6 @@ mod tests {
         let store = FileStore::create(&dir).expect("recreate");
         assert!(store.is_empty());
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn compact_drops_dead_bytes_and_resumes_byte_identically() {
-        let dir = scratch("compact");
-        let r0 = sample_record(0, 100);
-        let r0b = sample_record(0, 150); // re-record of cell 0 supersedes r0
-        let r1 = sample_record(1, 101);
-        let r3 = sample_record(3, 103);
-        let quarantine = |index: u64| QuarantineRecord {
-            index,
-            name: format!("cell-{index}"),
-            seed: index,
-            message: "boom".into(),
-        };
-        let q1 = quarantine(1); // completed later: dead
-        let q2 = quarantine(2); // still live
-        let journal = FileStore::journal_path(&dir);
-        {
-            let mut store = FileStore::create(&dir).expect("create");
-            store.record(&r0).unwrap();
-            store.record_quarantine(&q1).unwrap();
-            store.record(&r0b).unwrap();
-            store.record(&r1).unwrap();
-            store.record_quarantine(&q2).unwrap();
-            let before = fs::metadata(&journal).unwrap().len();
-            // Below the threshold the journal is untouched.
-            assert_eq!(store.compact(u64::MAX).unwrap(), 0);
-            assert_eq!(fs::metadata(&journal).unwrap().len(), before);
-            let reclaimed = store.compact(1).unwrap();
-            assert!(reclaimed > 0, "superseded units must be reclaimed");
-            assert_eq!(fs::metadata(&journal).unwrap().len(), before - reclaimed);
-            // The store stays appendable through its reopened handle.
-            store.record(&r3).unwrap();
-            // Nothing left to reclaim.
-            assert_eq!(store.compact(1).unwrap(), 0);
-        }
-        let store = FileStore::open(&dir).expect("reopen");
-        assert_eq!(store.completed_indices(), vec![0, 1, 3]);
-        assert_eq!(store.fetch(0), Some(r0b.clone()));
-        assert_eq!(store.fetch(1), Some(r1.clone()));
-        assert_eq!(store.fetch(3), Some(r3.clone()));
-        assert_eq!(store.quarantined(), vec![q2.clone()]);
-        // Byte-identity: the compacted journal is exactly what a fresh
-        // store recording only the live cells would have written.
-        let fresh_dir = scratch("compact-fresh");
-        {
-            let mut fresh = FileStore::create(&fresh_dir).expect("create fresh");
-            fresh.record(&r0b).unwrap();
-            fresh.record(&r1).unwrap();
-            fresh.record_quarantine(&q2).unwrap();
-            fresh.record(&r3).unwrap();
-        }
-        assert_eq!(
-            fs::read(&journal).unwrap(),
-            fs::read(FileStore::journal_path(&fresh_dir)).unwrap(),
-            "compacted journal must be byte-identical to a dead-byte-free one"
-        );
-        let _ = fs::remove_dir_all(&dir);
-        let _ = fs::remove_dir_all(&fresh_dir);
     }
 
     #[test]

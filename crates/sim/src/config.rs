@@ -176,9 +176,10 @@ impl EngineSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::MachineConfig;
     use crate::request::{Demand, QosTarget};
     use crate::rng::SimRng;
-    use hipster_platform::{CoreKind, Frequency};
+    use hipster_platform::{CoreConfig, CoreKind, Frequency};
 
     #[derive(Debug)]
     struct Toy;
@@ -219,8 +220,8 @@ mod tests {
         // Same seed, default knobs: spec-built and hand-built engines must
         // produce identical interval statistics.
         let platform = Platform::juno_r1();
-        let lc: hipster_platform::CoreConfig = "2B-1.15".parse().unwrap();
-        let cfg = crate::engine::MachineConfig::interactive(&platform, lc);
+        let lc: CoreConfig = "2B-1.15".parse().unwrap();
+        let cfg = MachineConfig::interactive(&platform, lc);
 
         let mut by_hand = Engine::new(platform.clone(), Box::new(Toy), Box::new(Half), 42);
         let mut by_spec = EngineSpec::seeded(42)
@@ -260,6 +261,52 @@ mod tests {
             s.validate(),
             Err(EngineSpecError::Fault(FaultSpecError::InvalidProbability { prob })) if prob == 2.0
         ));
+    }
+
+    #[derive(Debug)]
+    struct Spin;
+    impl BatchProgram for Spin {
+        fn name(&self) -> &str {
+            "spin"
+        }
+        fn ips(&self, _kind: CoreKind, _f: Frequency) -> f64 {
+            1e9
+        }
+    }
+
+    /// Steps six intervals of `spec` on Juno: the toy service at half
+    /// load under `config` of `2B-1.15`, with `pool` as the batch pool.
+    fn step_six_intervals(
+        spec: EngineSpec,
+        config: fn(&Platform, CoreConfig) -> MachineConfig,
+        pool: Vec<Box<dyn BatchProgram>>,
+    ) {
+        assert_eq!(spec.validate(), Ok(()));
+        let cfg = config(&Platform::juno_r1(), "2B-1.15".parse().unwrap());
+        let mut engine = spec
+            .build(Platform::juno_r1(), Box::new(Toy), Box::new(Half), pool)
+            .unwrap();
+        for _ in 0..6 {
+            engine.step(cfg);
+        }
+    }
+
+    #[test]
+    fn overflowing_jitter_saturates_the_slowdown() {
+        // exp(1000·z) is +inf once z > 0.71, which seed 3 draws by the
+        // third interval; a straggle on top must stay finite too.
+        let mut s = EngineSpec::seeded(3);
+        s.jitter_sigma = 1000.0;
+        step_six_intervals(s, MachineConfig::interactive, Vec::new());
+        s.faults = FaultSpec::none().with_stragglers(5.0, 1.0, 1.5, 2.0, 8.0);
+        step_six_intervals(s, MachineConfig::interactive, Vec::new());
+    }
+
+    #[test]
+    fn overflowing_contention_saturates_the_slowdown() {
+        let mut s = EngineSpec::seeded(3);
+        s.contention.global_per_batch_core = 1e308;
+        step_six_intervals(s, MachineConfig::collocated, vec![Box::new(Spin)]);
     }
 
     #[test]

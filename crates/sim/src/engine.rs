@@ -42,8 +42,8 @@ use crate::arrivals::{
     self, DemandStream, Demands, Gaps, InlineDemands, SharedModel, Start, Stepping,
 };
 use crate::costs::{ContentionModel, ReconfigCosts};
-use crate::dist::{self, BoundedPareto, Exponential};
-use crate::fault::{FaultPlan, FaultSpec, FaultState, HedgeSpec};
+use crate::dist::{self, Exponential};
+use crate::fault::{FaultPlan, FaultSpec, FaultState, HedgeSpec, Slowdown};
 use crate::request::{Demand, QosTarget};
 use crate::rng::{Sampler, SimRng};
 use crate::service::{NodeInterval, ServerSpec, ServiceNode};
@@ -267,8 +267,6 @@ pub struct Engine {
     /// Previous interval's per-server revocation flags (spec order), for
     /// detecting alive-set changes that force a preempting reconfigure.
     prev_revoked: Vec<bool>,
-    /// Scratch: this interval's per-server fault states (spec order).
-    fault_states_buf: Vec<FaultState>,
     /// Scratch: this interval's per-server revocation flags.
     cur_revoked_buf: Vec<bool>,
     /// Core-intervals spent revoked (fault telemetry).
@@ -283,16 +281,15 @@ pub struct Engine {
 
 /// Per-request straggler machinery: each arriving request independently
 /// straggles with probability `prob`, scaling its service demand by a
-/// bounded-Pareto multiplier drawn from a dedicated `"reqstraggle"` RNG
-/// fork. Hedging caps the effective multiplier at `1 + delay_multiple`
-/// (the backup copy finishes at nominal speed after the issue delay) and
-/// counts each capped request as one hedge.
+/// multiplier drawn from a dedicated `"reqstraggle"` RNG fork. Hedging
+/// caps the effective multiplier at `1 + delay_multiple` (the backup copy
+/// finishes at nominal speed after the issue delay) and counts each capped
+/// request as one hedge.
 #[derive(Debug)]
 struct ReqFaults {
     rng: SimRng,
     prob: f64,
-    mult: Option<BoundedPareto>,
-    min: f64,
+    slowdown: Slowdown,
     /// Effective-multiplier cap from hedging (`1 + delay_multiple`;
     /// infinite when hedging is disabled).
     cap: f64,
@@ -307,10 +304,7 @@ struct ReqFaults {
 fn straggle(req_faults: &mut Option<ReqFaults>, mut demand: Demand) -> Demand {
     if let Some(rf) = req_faults {
         if rf.rng.chance(rf.prob) {
-            let drawn = match &rf.mult {
-                Some(pareto) => pareto.sample(&mut rf.rng),
-                None => rf.min,
-            };
+            let drawn = rf.slowdown.sample(&mut rf.rng);
             rf.straggled += 1;
             let eff = if drawn > rf.cap {
                 rf.hedged += 1;
@@ -392,7 +386,6 @@ impl Engine {
             faults: None,
             external_fault: FaultState::Healthy,
             prev_revoked: Vec::new(),
-            fault_states_buf: Vec::new(),
             cur_revoked_buf: Vec::new(),
             revoked_core_intervals: 0,
             straggler_core_intervals: 0,
@@ -497,14 +490,11 @@ impl Engine {
         self.req_faults = spec.has_request_stragglers().then(|| ReqFaults {
             rng: SimRng::seed(self.seed).fork("reqstraggle"),
             prob: spec.request_straggler_prob,
-            mult: (spec.request_straggler_max > spec.request_straggler_min).then(|| {
-                BoundedPareto::new(
-                    spec.request_straggler_min,
-                    spec.request_straggler_max,
-                    spec.request_straggler_alpha,
-                )
-            }),
-            min: spec.request_straggler_min,
+            slowdown: Slowdown::new(
+                spec.request_straggler_min,
+                spec.request_straggler_max,
+                spec.request_straggler_alpha,
+            ),
             cap: 1.0 + self.hedge.delay_multiple,
             straggled: 0,
             hedged: 0,
@@ -685,7 +675,9 @@ impl Engine {
             || self.prev_revoked.iter().any(|&r| r);
         if faults_active {
             let big_total = self.platform.cluster(CoreKind::Big).len();
-            self.fault_states_buf.clear();
+            self.cur_revoked_buf.clear();
+            let mut unwarned_new = false;
+            let mut w = 0usize;
             for s in 0..total_servers {
                 // Server `s` sits on a stable physical core: big LC servers
                 // on big cores 0.., small LC servers on small cores 0..
@@ -699,14 +691,7 @@ impl Engine {
                     Some(plan) => plan.state(unit, self.now),
                     None => FaultState::Healthy,
                 };
-                self.fault_states_buf
-                    .push(FaultState::combine(self.external_fault, local));
-            }
-            self.cur_revoked_buf.clear();
-            let mut unwarned_new = false;
-            let mut w = 0usize;
-            for s in 0..total_servers {
-                match self.fault_states_buf[s] {
+                match FaultState::combine(self.external_fault, local) {
                     FaultState::Revoked { warned } => {
                         self.cur_revoked_buf.push(true);
                         if s < cfg.lc.n_big {
@@ -723,7 +708,7 @@ impl Engine {
                         self.cur_revoked_buf.push(false);
                         let mut spec = self.specs_buf[s];
                         if let FaultState::Straggling { slowdown: m } = state {
-                            spec.slowdown *= m;
+                            spec.slowdown = (spec.slowdown * m).min(f64::MAX);
                             self.straggler_core_intervals += 1;
                         }
                         self.specs_buf[w] = spec;
@@ -857,7 +842,14 @@ impl Engine {
             // only ever slows service down.
             s *= (self.jitter_sigma * dist::standard_normal(&mut self.jitter_rng)).exp();
         }
-        s.max(1.0)
+        // An overflowed product (a huge contention coefficient or jitter
+        // sigma) saturates at the largest finite slowdown; a NaN one (an
+        // overflow times an underflow) reads as no slowdown.
+        if s.is_nan() {
+            1.0
+        } else {
+            s.clamp(1.0, f64::MAX)
+        }
     }
 
     /// Open-loop interval up to `t_end`: [`event_loop`] draws the

@@ -26,12 +26,14 @@
 //! from a dedicated stream — the START-style tail, where any individual
 //! request can go long even on a healthy server), optionally mitigated by
 //! a [`HedgeSpec`] that issues a backup copy after a configurable delay
-//! and keeps whichever finishes first.
+//! and keeps whichever finishes first. Unit, wave and request stragglers
+//! draw their multipliers through one sampler.
 //!
 //! Correlated *domain* faults — a whole rack or zone failing at once —
 //! are declared by a [`DomainFaultSpec`] and expanded over a
-//! [`TopologySpec`](crate::TopologySpec) by a [`WavePlan`], which layers
-//! on top of the independent per-unit [`FaultPlan`].
+//! [`TopologySpec`](crate::TopologySpec) by a [`WavePlan`]: two
+//! [`FaultPlan`]s, one whose units are the zones and one whose units are
+//! the racks. Callers layer it on top of the independent per-node plan.
 //!
 //! `FaultSpec::none()` builds no plan at all: the fault-off path draws
 //! zero random numbers and executes the exact pre-fault code, which the
@@ -189,69 +191,81 @@ impl FaultSpec {
                 return Err(FaultSpecError::NegativeRate { rate });
             }
         }
-        if !self.warned_prob.is_finite() || !(0.0..=1.0).contains(&self.warned_prob) {
-            return Err(FaultSpecError::InvalidProbability {
-                prob: self.warned_prob,
-            });
-        }
-        if self.revocation_rate_per_s > 0.0
-            && (!self.revocation_duration_s.is_finite() || self.revocation_duration_s <= 0.0)
-        {
-            return Err(FaultSpecError::NonPositiveDuration {
-                seconds: self.revocation_duration_s,
-            });
+        let probability = |prob: f64| {
+            if (0.0..=1.0).contains(&prob) {
+                Ok(())
+            } else {
+                Err(FaultSpecError::InvalidProbability { prob })
+            }
+        };
+        let duration = |seconds: f64| {
+            if seconds.is_finite() && seconds > 0.0 {
+                Ok(())
+            } else {
+                Err(FaultSpecError::NonPositiveDuration { seconds })
+            }
+        };
+        probability(self.warned_prob)?;
+        if self.revocation_rate_per_s > 0.0 {
+            duration(self.revocation_duration_s)?;
         }
         if self.straggler_rate_per_s > 0.0 {
-            if !self.straggler_duration_s.is_finite() || self.straggler_duration_s <= 0.0 {
-                return Err(FaultSpecError::NonPositiveDuration {
-                    seconds: self.straggler_duration_s,
-                });
-            }
-            if !self.straggler_min.is_finite() || self.straggler_min < 1.0 {
-                return Err(FaultSpecError::SlowdownBelowOne {
-                    multiplier: self.straggler_min,
-                });
-            }
-            if !self.straggler_max.is_finite() || self.straggler_max < self.straggler_min {
-                return Err(FaultSpecError::InvalidSlowdownRange {
-                    min: self.straggler_min,
-                    max: self.straggler_max,
-                });
-            }
-            if !self.straggler_alpha.is_finite() || self.straggler_alpha <= 0.0 {
-                return Err(FaultSpecError::InvalidAlpha {
-                    alpha: self.straggler_alpha,
-                });
-            }
+            duration(self.straggler_duration_s)?;
+            Slowdown::check(self.straggler_min, self.straggler_max, self.straggler_alpha)?;
         }
-        if !self.request_straggler_prob.is_finite()
-            || !(0.0..=1.0).contains(&self.request_straggler_prob)
-        {
-            return Err(FaultSpecError::InvalidProbability {
-                prob: self.request_straggler_prob,
-            });
-        }
+        probability(self.request_straggler_prob)?;
         if self.request_straggler_prob > 0.0 {
-            if !self.request_straggler_min.is_finite() || self.request_straggler_min < 1.0 {
-                return Err(FaultSpecError::SlowdownBelowOne {
-                    multiplier: self.request_straggler_min,
-                });
-            }
-            if !self.request_straggler_max.is_finite()
-                || self.request_straggler_max < self.request_straggler_min
-            {
-                return Err(FaultSpecError::InvalidSlowdownRange {
-                    min: self.request_straggler_min,
-                    max: self.request_straggler_max,
-                });
-            }
-            if !self.request_straggler_alpha.is_finite() || self.request_straggler_alpha <= 0.0 {
-                return Err(FaultSpecError::InvalidAlpha {
-                    alpha: self.request_straggler_alpha,
-                });
-            }
+            Slowdown::check(
+                self.request_straggler_min,
+                self.request_straggler_max,
+                self.request_straggler_alpha,
+            )?;
         }
         Ok(())
+    }
+}
+
+/// How a straggle multiplier is drawn: from `BoundedPareto(min, max,
+/// alpha)`, or exactly `min` when `min == max`. Unit stragglers, wave
+/// stragglers and per-request stragglers all draw through this.
+#[derive(Debug, Clone)]
+pub(crate) struct Slowdown {
+    min: f64,
+    pareto: Option<BoundedPareto>,
+}
+
+impl Slowdown {
+    /// Checks one family's multiplier knobs, in the order `min >= 1`,
+    /// `max >= min`, `alpha > 0`, returning the first violation.
+    fn check(min: f64, max: f64, alpha: f64) -> Result<(), FaultSpecError> {
+        if !min.is_finite() || min < 1.0 {
+            return Err(FaultSpecError::SlowdownBelowOne { multiplier: min });
+        }
+        if !max.is_finite() || max < min {
+            return Err(FaultSpecError::InvalidSlowdownRange { min, max });
+        }
+        if !alpha.is_finite() || alpha <= 0.0 {
+            return Err(FaultSpecError::InvalidAlpha { alpha });
+        }
+        Ok(())
+    }
+
+    /// A sampler over knobs that pass [`Slowdown::check`]. Validation
+    /// skips an unarmed family's knobs, so build one only for an armed
+    /// family.
+    pub(crate) fn new(min: f64, max: f64, alpha: f64) -> Self {
+        Slowdown {
+            min,
+            pareto: (max > min).then(|| BoundedPareto::new(min, max, alpha)),
+        }
+    }
+
+    /// Draws one multiplier (no draw at all for a fixed `min`).
+    pub(crate) fn sample(&self, rng: &mut SimRng) -> f64 {
+        match &self.pareto {
+            Some(pareto) => pareto.sample(rng),
+            None => self.min,
+        }
     }
 }
 
@@ -434,27 +448,71 @@ fn unit_seed(base: u64, unit: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// One fault family's lazily-advanced episode window for one unit.
+/// One armed fault family: episodes start as a Poisson process at the
+/// family's rate and each lasts a fixed `duration_s`.
+#[derive(Debug, Clone)]
+struct Family {
+    gap: Exponential,
+    duration_s: f64,
+    effect: Effect,
+}
+
+/// What an episode does to its unit.
+#[derive(Debug, Clone)]
+enum Effect {
+    /// Revokes it, warned with this probability.
+    Revoke(f64),
+    /// Slows it by a drawn multiplier.
+    Slow(Slowdown),
+}
+
+/// One unit's current or next episode of one family, drawn from the
+/// unit's own stream for that family.
 #[derive(Debug, Clone)]
 struct Episode {
     rng: SimRng,
     start: f64,
     end: f64,
-    /// Warned flag (revocations) — unused for stragglers.
-    warned: bool,
-    /// Slowdown multiplier (stragglers) — unused for revocations.
-    slowdown: f64,
+    /// The state the unit is in while `start <= t < end`.
+    state: FaultState,
+}
+
+impl Episode {
+    /// Replaces this episode with the next: it starts an exponential gap
+    /// after this one ends.
+    fn advance(&mut self, family: &Family) {
+        self.start = self.end + family.gap.sample(&mut self.rng);
+        self.end = self.start + family.duration_s;
+        self.state = match &family.effect {
+            Effect::Revoke(warned_prob) => FaultState::Revoked {
+                warned: self.rng.chance(*warned_prob),
+            },
+            Effect::Slow(slowdown) => FaultState::Straggling {
+                slowdown: slowdown.sample(&mut self.rng),
+            },
+        };
+    }
+
+    /// The unit's state under this family at `t`, which must not fall
+    /// before an earlier query's.
+    fn at(&mut self, family: &Family, t: f64) -> FaultState {
+        while t >= self.end {
+            self.advance(family);
+        }
+        if t >= self.start {
+            self.state
+        } else {
+            FaultState::Healthy
+        }
+    }
 }
 
 /// A spec expanded into independent per-unit fault timelines.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
-    spec: FaultSpec,
-    revocations: Vec<Episode>,
-    stragglers: Vec<Episode>,
-    rev_gap: Option<Exponential>,
-    str_gap: Option<Exponential>,
-    str_mult: Option<BoundedPareto>,
+    /// Each armed family with one episode per unit, revocations first.
+    families: Vec<(Family, Vec<Episode>)>,
+    units: usize,
 }
 
 impl FaultPlan {
@@ -467,157 +525,58 @@ impl FaultPlan {
     /// the scenario/cluster boundary first.
     pub fn new(spec: FaultSpec, base_seed: u64, units: usize) -> Self {
         spec.validate().expect("FaultPlan::new: invalid FaultSpec");
-        let rev_gap = (spec.revocation_rate_per_s > 0.0)
-            .then(|| Exponential::new(spec.revocation_rate_per_s));
-        let str_gap =
-            (spec.straggler_rate_per_s > 0.0).then(|| Exponential::new(spec.straggler_rate_per_s));
-        let str_mult = (spec.straggler_rate_per_s > 0.0 && spec.straggler_max > spec.straggler_min)
-            .then(|| {
-                BoundedPareto::new(spec.straggler_min, spec.straggler_max, spec.straggler_alpha)
-            });
-        let mut plan = FaultPlan {
-            spec,
-            revocations: Vec::with_capacity(units),
-            stragglers: Vec::with_capacity(units),
-            rev_gap,
-            str_gap,
-            str_mult,
-        };
-        for unit in 0..units as u64 {
-            let seed = unit_seed(base_seed, unit);
-            let mut rev = Episode {
-                rng: SimRng::seed(unit_seed(seed, 0x5245_564f)), // "REVO"
-                start: f64::INFINITY,
-                end: f64::INFINITY,
-                warned: false,
-                slowdown: 1.0,
-            };
-            let mut str_ep = Episode {
-                rng: SimRng::seed(unit_seed(seed, 0x5354_5247)), // "STRG"
-                start: f64::INFINITY,
-                end: f64::INFINITY,
-                warned: false,
-                slowdown: 1.0,
-            };
-            plan.schedule_revocation(&mut rev, 0.0);
-            plan.schedule_straggle(&mut str_ep, 0.0);
-            plan.revocations.push(rev);
-            plan.stragglers.push(str_ep);
-        }
-        plan
+        let revocations = (spec.revocation_rate_per_s > 0.0).then(|| Family {
+            gap: Exponential::new(spec.revocation_rate_per_s),
+            duration_s: spec.revocation_duration_s,
+            effect: Effect::Revoke(spec.warned_prob),
+        });
+        let stragglers = (spec.straggler_rate_per_s > 0.0).then(|| Family {
+            gap: Exponential::new(spec.straggler_rate_per_s),
+            duration_s: spec.straggler_duration_s,
+            effect: Effect::Slow(Slowdown::new(
+                spec.straggler_min,
+                spec.straggler_max,
+                spec.straggler_alpha,
+            )),
+        });
+        // Each unit's seed is salted once per family: "REVO", "STRG". An
+        // episode starts as an empty window ending at t = 0, so the first
+        // query draws the first real one from t = 0, whenever it comes.
+        let families = [(0x5245_564f, revocations), (0x5354_5247, stragglers)]
+            .into_iter()
+            .filter_map(|(salt, family)| {
+                let family = family?;
+                let episodes = (0..units as u64)
+                    .map(|unit| Episode {
+                        rng: SimRng::seed(unit_seed(unit_seed(base_seed, unit), salt)),
+                        start: 0.0,
+                        end: 0.0,
+                        state: FaultState::Healthy,
+                    })
+                    .collect();
+                Some((family, episodes))
+            })
+            .collect();
+        FaultPlan { families, units }
     }
 
     /// Number of units this plan covers.
     pub fn units(&self) -> usize {
-        self.revocations.len()
-    }
-
-    fn schedule_revocation(&self, ep: &mut Episode, from: f64) {
-        if let Some(gap) = &self.rev_gap {
-            ep.start = from + gap.sample(&mut ep.rng);
-            ep.end = ep.start + self.spec.revocation_duration_s;
-            ep.warned = ep.rng.chance(self.spec.warned_prob);
-        }
-    }
-
-    fn schedule_straggle(&self, ep: &mut Episode, from: f64) {
-        if let Some(gap) = &self.str_gap {
-            ep.start = from + gap.sample(&mut ep.rng);
-            ep.end = ep.start + self.spec.straggler_duration_s;
-            ep.slowdown = match &self.str_mult {
-                Some(pareto) => pareto.sample(&mut ep.rng),
-                None => self.spec.straggler_min,
-            };
-        }
+        self.units
     }
 
     /// The fault state of `unit` at time `t`. Queries must be
     /// time-monotonic per unit (interval starts are). Revocation wins
     /// when both families overlap.
     pub fn state(&mut self, unit: usize, t: f64) -> FaultState {
-        // Advance each family's window past expired episodes. The
-        // episodes are taken out of `self` so the scheduling helpers can
-        // borrow the plan immutably.
-        let mut rev = std::mem::replace(&mut self.revocations[unit], Episode::placeholder());
-        while t >= rev.end {
-            let end = rev.end;
-            self.schedule_revocation(&mut rev, end);
+        let mut state = FaultState::Healthy;
+        for (family, episodes) in &mut self.families {
+            let s = episodes[unit].at(family, t);
+            if !state.is_faulted() {
+                state = s;
+            }
         }
-        let revoked = t >= rev.start;
-        let warned = rev.warned;
-        self.revocations[unit] = rev;
-
-        let mut st = std::mem::replace(&mut self.stragglers[unit], Episode::placeholder());
-        while t >= st.end {
-            let end = st.end;
-            self.schedule_straggle(&mut st, end);
-        }
-        let straggling = t >= st.start;
-        let slowdown = st.slowdown;
-        self.stragglers[unit] = st;
-
-        if revoked {
-            FaultState::Revoked { warned }
-        } else if straggling {
-            FaultState::Straggling { slowdown }
-        } else {
-            FaultState::Healthy
-        }
-    }
-}
-
-impl Episode {
-    fn placeholder() -> Self {
-        Episode {
-            rng: SimRng::seed(0),
-            start: f64::INFINITY,
-            end: f64::INFINITY,
-            warned: false,
-            slowdown: 1.0,
-        }
-    }
-
-    fn fresh(seed: u64) -> Self {
-        Episode {
-            rng: SimRng::seed(seed),
-            ..Episode::placeholder()
-        }
-    }
-}
-
-/// Schedules the next revocation window after `from`, mirroring
-/// [`FaultPlan`]'s per-unit scheduling (same RNG call order) so domain
-/// and unit timelines are statistically interchangeable.
-fn schedule_rev(
-    ep: &mut Episode,
-    from: f64,
-    gap: &Option<Exponential>,
-    duration_s: f64,
-    warned_prob: f64,
-) {
-    if let Some(gap) = gap {
-        ep.start = from + gap.sample(&mut ep.rng);
-        ep.end = ep.start + duration_s;
-        ep.warned = ep.rng.chance(warned_prob);
-    }
-}
-
-/// Straggler counterpart of [`schedule_rev`].
-fn schedule_str(
-    ep: &mut Episode,
-    from: f64,
-    gap: &Option<Exponential>,
-    duration_s: f64,
-    mult: &Option<BoundedPareto>,
-    min: f64,
-) {
-    if let Some(gap) = gap {
-        ep.start = from + gap.sample(&mut ep.rng);
-        ep.end = ep.start + duration_s;
-        ep.slowdown = match mult {
-            Some(pareto) => pareto.sample(&mut ep.rng),
-            None => min,
-        };
+        state
     }
 }
 
@@ -737,76 +696,39 @@ impl DomainFaultSpec {
             && self.rack_straggler_rate_per_s == 0.0
     }
 
-    fn has_stragglers(&self) -> bool {
-        self.zone_straggler_rate_per_s > 0.0 || self.rack_straggler_rate_per_s > 0.0
-    }
-
-    /// Checks every knob, returning the first violation.
+    /// Checks every knob, returning the first violation: the zone
+    /// families' knobs first, then the rack families'.
     pub fn validate(&self) -> Result<(), FaultSpecError> {
-        for &rate in &[
-            self.zone_revocation_rate_per_s,
-            self.rack_revocation_rate_per_s,
-            self.zone_straggler_rate_per_s,
-            self.rack_straggler_rate_per_s,
-        ] {
-            if !rate.is_finite() || rate < 0.0 {
-                return Err(FaultSpecError::NegativeRate { rate });
-            }
-        }
-        if !self.warned_prob.is_finite() || !(0.0..=1.0).contains(&self.warned_prob) {
-            return Err(FaultSpecError::InvalidProbability {
-                prob: self.warned_prob,
-            });
-        }
-        for &(rate, duration) in &[
-            (
-                self.zone_revocation_rate_per_s,
-                self.zone_revocation_duration_s,
-            ),
-            (
-                self.rack_revocation_rate_per_s,
-                self.rack_revocation_duration_s,
-            ),
-            (
-                self.zone_straggler_rate_per_s,
-                self.zone_straggler_duration_s,
-            ),
-            (
-                self.rack_straggler_rate_per_s,
-                self.rack_straggler_duration_s,
-            ),
-        ] {
-            if rate > 0.0 && (!duration.is_finite() || duration <= 0.0) {
-                return Err(FaultSpecError::NonPositiveDuration { seconds: duration });
-            }
-        }
-        if self.has_stragglers() {
-            if !self.straggler_min.is_finite() || self.straggler_min < 1.0 {
-                return Err(FaultSpecError::SlowdownBelowOne {
-                    multiplier: self.straggler_min,
-                });
-            }
-            if !self.straggler_max.is_finite() || self.straggler_max < self.straggler_min {
-                return Err(FaultSpecError::InvalidSlowdownRange {
-                    min: self.straggler_min,
-                    max: self.straggler_max,
-                });
-            }
-            if !self.straggler_alpha.is_finite() || self.straggler_alpha <= 0.0 {
-                return Err(FaultSpecError::InvalidAlpha {
-                    alpha: self.straggler_alpha,
-                });
-            }
-        }
-        Ok(())
+        self.levels().iter().try_for_each(FaultSpec::validate)
     }
-}
 
-/// One domain's pair of wave timelines (revocations + stragglers).
-#[derive(Debug, Clone)]
-struct DomainTimeline {
-    rev: Episode,
-    straggle: Episode,
+    /// The zone-level and rack-level families as per-unit specs, where a
+    /// unit is one zone or one rack.
+    fn levels(&self) -> [FaultSpec; 2] {
+        let shared = FaultSpec {
+            warned_prob: self.warned_prob,
+            straggler_alpha: self.straggler_alpha,
+            straggler_min: self.straggler_min,
+            straggler_max: self.straggler_max,
+            ..FaultSpec::none()
+        };
+        [
+            FaultSpec {
+                revocation_rate_per_s: self.zone_revocation_rate_per_s,
+                revocation_duration_s: self.zone_revocation_duration_s,
+                straggler_rate_per_s: self.zone_straggler_rate_per_s,
+                straggler_duration_s: self.zone_straggler_duration_s,
+                ..shared
+            },
+            FaultSpec {
+                revocation_rate_per_s: self.rack_revocation_rate_per_s,
+                revocation_duration_s: self.rack_revocation_duration_s,
+                straggler_rate_per_s: self.rack_straggler_rate_per_s,
+                straggler_duration_s: self.rack_straggler_duration_s,
+                ..shared
+            },
+        ]
+    }
 }
 
 /// Domain-seed salts so zone and rack streams never collide with each
@@ -814,26 +736,20 @@ struct DomainTimeline {
 const ZONE_SALT: u64 = 0x5a4f_4e45; // "ZONE"
 const RACK_SALT: u64 = 0x5241_434b; // "RACK"
 
-/// A [`DomainFaultSpec`] expanded over a [`TopologySpec`] into per-zone
-/// and per-rack wave timelines.
+/// A [`DomainFaultSpec`] expanded over a [`TopologySpec`]: one
+/// [`FaultPlan`] whose units are the zones and one whose units are the
+/// racks.
 ///
-/// Every domain gets its own split-seeded RNG pair (one stream per
-/// family), derived from `base_seed` with a domain-kind salt, so a zone's
-/// wave history is independent of rack count, query order, and the
-/// per-node [`FaultPlan`] streams. The per-node state is the
+/// Each plan's base seed carries a domain-kind salt, so a zone's wave
+/// history is independent of rack count, query order, and the per-node
+/// [`FaultPlan`] streams. The per-node state is the
 /// [`FaultState::combine`] of the node's zone and rack waves; callers
 /// combine that again with any independent per-node plan.
 #[derive(Debug, Clone)]
 pub struct WavePlan {
-    spec: DomainFaultSpec,
     topo: TopologySpec,
-    zones: Vec<DomainTimeline>,
-    racks: Vec<DomainTimeline>,
-    zone_rev_gap: Option<Exponential>,
-    zone_str_gap: Option<Exponential>,
-    rack_rev_gap: Option<Exponential>,
-    rack_str_gap: Option<Exponential>,
-    str_mult: Option<BoundedPareto>,
+    zones: FaultPlan,
+    racks: FaultPlan,
 }
 
 impl WavePlan {
@@ -847,65 +763,12 @@ impl WavePlan {
     pub fn new(spec: DomainFaultSpec, topo: TopologySpec, base_seed: u64) -> Self {
         spec.validate()
             .expect("WavePlan::new: invalid DomainFaultSpec");
-        let gap = |rate: f64| (rate > 0.0).then(|| Exponential::new(rate));
-        let str_mult =
-            (spec.has_stragglers() && spec.straggler_max > spec.straggler_min).then(|| {
-                BoundedPareto::new(spec.straggler_min, spec.straggler_max, spec.straggler_alpha)
-            });
-        let mut plan = WavePlan {
-            spec,
+        let [zone, rack] = spec.levels();
+        WavePlan {
             topo,
-            zones: Vec::with_capacity(topo.num_zones()),
-            racks: Vec::with_capacity(topo.num_racks()),
-            zone_rev_gap: gap(spec.zone_revocation_rate_per_s),
-            zone_str_gap: gap(spec.zone_straggler_rate_per_s),
-            rack_rev_gap: gap(spec.rack_revocation_rate_per_s),
-            rack_str_gap: gap(spec.rack_straggler_rate_per_s),
-            str_mult,
-        };
-        for zone in 0..topo.num_zones() as u64 {
-            let seed = unit_seed(base_seed ^ ZONE_SALT, zone);
-            let mut rev = Episode::fresh(unit_seed(seed, 0x5245_564f)); // "REVO"
-            let mut straggle = Episode::fresh(unit_seed(seed, 0x5354_5247)); // "STRG"
-            schedule_rev(
-                &mut rev,
-                0.0,
-                &plan.zone_rev_gap,
-                spec.zone_revocation_duration_s,
-                spec.warned_prob,
-            );
-            schedule_str(
-                &mut straggle,
-                0.0,
-                &plan.zone_str_gap,
-                spec.zone_straggler_duration_s,
-                &plan.str_mult,
-                spec.straggler_min,
-            );
-            plan.zones.push(DomainTimeline { rev, straggle });
+            zones: FaultPlan::new(zone, base_seed ^ ZONE_SALT, topo.num_zones()),
+            racks: FaultPlan::new(rack, base_seed ^ RACK_SALT, topo.num_racks()),
         }
-        for rack in 0..topo.num_racks() as u64 {
-            let seed = unit_seed(base_seed ^ RACK_SALT, rack);
-            let mut rev = Episode::fresh(unit_seed(seed, 0x5245_564f));
-            let mut straggle = Episode::fresh(unit_seed(seed, 0x5354_5247));
-            schedule_rev(
-                &mut rev,
-                0.0,
-                &plan.rack_rev_gap,
-                spec.rack_revocation_duration_s,
-                spec.warned_prob,
-            );
-            schedule_str(
-                &mut straggle,
-                0.0,
-                &plan.rack_str_gap,
-                spec.rack_straggler_duration_s,
-                &plan.str_mult,
-                spec.straggler_min,
-            );
-            plan.racks.push(DomainTimeline { rev, straggle });
-        }
-        plan
     }
 
     /// The topology this plan fans out over.
@@ -917,82 +780,21 @@ impl WavePlan {
     /// time-monotonic per domain (interval starts are); repeated queries
     /// at the same `t` are idempotent.
     pub fn zone_state(&mut self, zone: usize, t: f64) -> FaultState {
-        let tl = &mut self.zones[zone];
-        while t >= tl.rev.end {
-            let end = tl.rev.end;
-            schedule_rev(
-                &mut tl.rev,
-                end,
-                &self.zone_rev_gap,
-                self.spec.zone_revocation_duration_s,
-                self.spec.warned_prob,
-            );
-        }
-        while t >= tl.straggle.end {
-            let end = tl.straggle.end;
-            schedule_str(
-                &mut tl.straggle,
-                end,
-                &self.zone_str_gap,
-                self.spec.zone_straggler_duration_s,
-                &self.str_mult,
-                self.spec.straggler_min,
-            );
-        }
-        timeline_state(tl, t)
+        self.zones.state(zone, t)
     }
 
     /// The wave state of (global) rack `rack` at time `t`.
     pub fn rack_state(&mut self, rack: usize, t: f64) -> FaultState {
-        let tl = &mut self.racks[rack];
-        while t >= tl.rev.end {
-            let end = tl.rev.end;
-            schedule_rev(
-                &mut tl.rev,
-                end,
-                &self.rack_rev_gap,
-                self.spec.rack_revocation_duration_s,
-                self.spec.warned_prob,
-            );
-        }
-        while t >= tl.straggle.end {
-            let end = tl.straggle.end;
-            schedule_str(
-                &mut tl.straggle,
-                end,
-                &self.rack_str_gap,
-                self.spec.rack_straggler_duration_s,
-                &self.str_mult,
-                self.spec.straggler_min,
-            );
-        }
-        timeline_state(tl, t)
+        self.racks.state(rack, t)
     }
 
     /// The combined wave state of `node` at time `t`: its zone's wave
     /// combined with its rack's ([`FaultState::combine`] — revocation
     /// dominates, straggles compound).
     pub fn state(&mut self, node: usize, t: f64) -> FaultState {
-        let zone = self.topo.zone_of(node);
-        let rack = self.topo.rack_of(node);
-        let zs = self.zone_state(zone, t);
-        let rs = self.rack_state(rack, t);
-        FaultState::combine(zs, rs)
-    }
-}
-
-/// The instantaneous state of one domain timeline (revocation wins).
-fn timeline_state(tl: &DomainTimeline, t: f64) -> FaultState {
-    if t >= tl.rev.start && t < tl.rev.end {
-        FaultState::Revoked {
-            warned: tl.rev.warned,
-        }
-    } else if t >= tl.straggle.start && t < tl.straggle.end {
-        FaultState::Straggling {
-            slowdown: tl.straggle.slowdown,
-        }
-    } else {
-        FaultState::Healthy
+        let zone = self.zones.state(self.topo.zone_of(node), t);
+        let rack = self.racks.state(self.topo.rack_of(node), t);
+        FaultState::combine(zone, rack)
     }
 }
 
@@ -1184,6 +986,36 @@ mod tests {
             }
         }
         assert!(differs, "seed 78 reproduced seed 77's wave history");
+    }
+
+    /// Pins all four wave families (zone and rack, revocations and
+    /// stragglers): an FNV-1a fold of every node's, zone's and rack's state
+    /// on a 0.1 s grid over 200 s.
+    #[test]
+    fn four_family_wave_history_is_pinned() {
+        let topo = TopologySpec::new(2, 2, 4).unwrap();
+        let mut plan = WavePlan::new(wavy(), topo, 1234);
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        for step in 0..2000 {
+            let t = step as f64 * 0.1;
+            let mut states: Vec<_> = (0..topo.nodes()).map(|n| plan.state(n, t)).collect();
+            states.extend((0..topo.num_zones()).map(|z| plan.zone_state(z, t)));
+            states.extend((0..topo.num_racks()).map(|r| plan.rack_state(r, t)));
+            for state in states {
+                let bits = match state {
+                    FaultState::Healthy => 0,
+                    FaultState::Revoked { warned } => 1 + u64::from(warned),
+                    FaultState::Straggling { slowdown } => slowdown.to_bits(),
+                };
+                for b in bits.to_le_bytes() {
+                    digest = (digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        assert_eq!(
+            digest, 0x4855_e0eb_e14b_2271,
+            "wave history moved: {digest:#018x}"
+        );
     }
 
     #[test]
