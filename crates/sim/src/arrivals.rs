@@ -12,6 +12,11 @@
 //! demand stream can be drawn ahead of the loop by a thread that never
 //! reads the load.
 //!
+//! The loop takes a burst's demands in runs, one call per run
+//! ([`Demands::demands`]): inline, one [`LcModel::fill_demands`] call fills
+//! a run of up to [`RUN_DEMANDS`]; a generator lends the run in place, up
+//! to the end of its chunk.
+//!
 //! An engine's [`DemandStream`] starts [`DemandStream::Inline`]: the loop
 //! draws each burst and demand as it takes it. At the first interval
 //! [`Start`] admits, the engine hands the stream to a [`Generator`], one
@@ -37,6 +42,11 @@ use crate::traits::LcModel;
 
 /// Bursts per chunk.
 pub(crate) const CHUNK_BURSTS: usize = 64;
+
+/// The most demands the inline site draws at once: a longer burst arrives
+/// in runs of this many. The run's buffer (1 KB) lives in
+/// [`InlineDemands`], on the stack of the step that draws inline.
+pub(crate) const RUN_DEMANDS: usize = 64;
 
 /// Request demands per chunk: one hand-off carries about 25 µs of the
 /// loop's work. A burst whose demands do not fit continues at the head of
@@ -253,18 +263,29 @@ impl<'a> Gaps<'a> {
 /// The event loop's view of the demand stream, wherever it is drawn.
 pub(crate) trait Demands {
     /// The next arrival event's burst size (at least 1). Its demands
-    /// follow through [`Demands::demand`].
+    /// follow through [`Demands::demands`].
     fn burst(&mut self) -> usize;
 
-    /// The next demand of the burst being taken.
-    fn demand(&mut self) -> Demand;
+    /// The next run of the burst being taken: between 1 and `left` of its
+    /// demands, where `left ≥ 1` is how many it still has. The caller may
+    /// rewrite them in place before it takes the next run.
+    fn demands(&mut self, left: usize) -> &mut [Demand];
 }
 
-/// The inline site: the loop draws each burst and demand as it takes it.
+/// The inline site: the loop draws each burst and run of demands as it
+/// takes it, each run into `run`.
 #[derive(Debug)]
 pub(crate) struct InlineDemands<'a> {
-    pub(crate) lc: &'a dyn LcModel,
-    pub(crate) rng: &'a mut SimRng,
+    lc: &'a dyn LcModel,
+    rng: &'a mut SimRng,
+    run: [Demand; RUN_DEMANDS],
+}
+
+impl<'a> InlineDemands<'a> {
+    pub(crate) fn new(lc: &'a dyn LcModel, rng: &'a mut SimRng) -> Self {
+        let run = [Demand::new(0.0, 0.0); RUN_DEMANDS];
+        InlineDemands { lc, rng, run }
+    }
 }
 
 impl Demands for InlineDemands<'_> {
@@ -272,8 +293,10 @@ impl Demands for InlineDemands<'_> {
         self.lc.sample_burst(self.rng).max(1)
     }
 
-    fn demand(&mut self) -> Demand {
-        self.lc.sample_demand(self.rng)
+    fn demands(&mut self, left: usize) -> &mut [Demand] {
+        let run = &mut self.run[..left.min(RUN_DEMANDS)];
+        self.lc.fill_demands(self.rng, run);
+        run
     }
 }
 
@@ -313,9 +336,11 @@ impl DemandStream {
 #[derive(Debug, Default)]
 struct Chunk {
     bursts: Vec<usize>,
-    /// The demands of this chunk's bursts. It starts with the rest of an
-    /// earlier chunk's last burst when that burst did not fit.
+    /// Room for [`CHUNK_DEMANDS`] demands, of which `demands[..filled]`
+    /// are this chunk's: those of its bursts, first the rest of an earlier
+    /// chunk's last burst when that burst did not fit.
     demands: Vec<Demand>,
+    filled: usize,
     /// The payload of the model panic that ended the stream on the draw
     /// after this chunk's last.
     panic: Option<Box<dyn Any + Send>>,
@@ -328,23 +353,26 @@ impl Chunk {
     fn with_room() -> Self {
         Chunk {
             bursts: Vec::with_capacity(CHUNK_BURSTS),
-            demands: Vec::with_capacity(CHUNK_DEMANDS),
+            demands: vec![Demand::new(0.0, 0.0); CHUNK_DEMANDS],
+            filled: 0,
             panic: None,
         }
     }
 
     /// Refills the chunk with the stream's next bursts and demands, first
-    /// the `owed` demands of a burst an earlier chunk could not hold.
+    /// the `owed` demands of a burst an earlier chunk could not hold. Each
+    /// burst's run of demands is one [`LcModel::fill_demands`] call; a
+    /// model panic inside it leaves `filled` at the run's start, so the
+    /// loop raises the panic when it reaches that burst.
     fn fill(&mut self, lc: &dyn LcModel, rng: &mut SimRng, owed: &mut usize) {
         self.bursts.clear();
-        self.demands.clear();
+        self.filled = 0;
         loop {
-            let n = (*owed).min(CHUNK_DEMANDS - self.demands.len());
-            for _ in 0..n {
-                self.demands.push(lc.sample_demand(rng));
-            }
+            let n = (*owed).min(CHUNK_DEMANDS - self.filled);
+            lc.fill_demands(rng, &mut self.demands[self.filled..][..n]);
+            self.filled += n;
             *owed -= n;
-            let full = self.bursts.len() == CHUNK_BURSTS || self.demands.len() == CHUNK_DEMANDS;
+            let full = self.bursts.len() == CHUNK_BURSTS || self.filled == CHUNK_DEMANDS;
             if *owed > 0 || full {
                 return;
             }
@@ -532,12 +560,13 @@ impl Demands for Generator {
         self.chunk.bursts[self.burst_at - 1]
     }
 
-    fn demand(&mut self) -> Demand {
-        while self.demand_at == self.chunk.demands.len() {
+    fn demands(&mut self, left: usize) -> &mut [Demand] {
+        while self.demand_at == self.chunk.filled {
             self.refill();
         }
-        self.demand_at += 1;
-        self.chunk.demands[self.demand_at - 1]
+        let at = self.demand_at;
+        self.demand_at = self.chunk.filled.min(at + left);
+        &mut self.chunk.demands[at..self.demand_at]
     }
 }
 
@@ -612,14 +641,19 @@ mod tests {
     static UNCAPPED: Budget = Budget::new(|| usize::MAX);
 
     /// Every `(time, demand)` one interval yields, read the way the event
-    /// loop reads it.
+    /// loop reads it: each burst in runs.
     fn drain(gaps: &mut Gaps<'_>, demands: &mut impl Demands, start: f64) -> Vec<(f64, Demand)> {
         let mut out = Vec::new();
         let mut next = gaps.after(start);
         while let Some(t) = next {
-            let burst = demands.burst();
+            let mut left = demands.burst();
             next = gaps.after(t);
-            out.extend((0..burst).map(|_| (t, demands.demand())));
+            while left > 0 {
+                let run = demands.demands(left);
+                assert!((1..=left).contains(&run.len()), "{} of {left}", run.len());
+                out.extend(run.iter().map(|&d| (t, d)));
+                left -= run.len();
+            }
         }
         out
     }
@@ -641,7 +675,7 @@ mod tests {
             out.extend(match &mut stream {
                 DemandStream::Inline(rng) => {
                     let model = lock_model(lc);
-                    drain(&mut gaps, &mut InlineDemands { lc: &**model, rng }, start)
+                    drain(&mut gaps, &mut InlineDemands::new(&**model, rng), start)
                 }
                 DemandStream::RunAhead(generator) => drain(&mut gaps, generator, start),
             });
@@ -672,6 +706,17 @@ mod tests {
         let works: Vec<f64> = inline.iter().map(|(_, d)| d.work).collect();
         let expected: Vec<f64> = (1..=inline.len()).map(|k| k as f64).collect();
         assert_eq!(works, expected, "demands arrive in draw order");
+        // The loop reads bursts longer than a chunk, in runs that straddle
+        // chunk boundaries.
+        let longest = inline
+            .iter()
+            .zip(&inline[1..])
+            .fold((1, 1), |(run, most), (a, b)| {
+                let run = if a.0 == b.0 { run + 1 } else { 1 };
+                (run, most.max(run))
+            })
+            .1;
+        assert!(longest > CHUNK_DEMANDS, "longest burst {longest}");
         for start_at in [0, 1, 4, 7] {
             let ahead = read_intervals(&numbered(300.0), &rates, start_at);
             assert!(

@@ -62,6 +62,7 @@ impl Exponential {
 }
 
 impl Sampler for Exponential {
+    #[inline]
     fn sample(&self, rng: &mut SimRng) -> f64 {
         // Inversion: -ln(1-U)/rate; 1-U avoids ln(0).
         -(1.0 - rng.uniform()).ln() / self.rate
@@ -92,40 +93,57 @@ impl Normal {
 }
 
 impl Sampler for Normal {
+    #[inline]
     fn sample(&self, rng: &mut SimRng) -> f64 {
         self.mean + self.std_dev * standard_normal(rng)
     }
 }
 
-/// One standard-normal draw by the ziggurat (see the [module docs](self)).
+/// One standard-normal draw by the ziggurat (see the [module docs](self)):
+/// the fast path inline, everything else in [`normal_off_fast_path`].
+#[inline]
 pub(crate) fn standard_normal(rng: &mut SimRng) -> f64 {
+    let (i, u, x) = zig_attempt(rng);
+    if x.abs() < f64::from_bits(ZIG_X[i + 1]) {
+        return x;
+    }
+    normal_off_fast_path(rng, i, u, x)
+}
+
+/// One ziggurat attempt: its layer `i`, `u ∈ [−1, 1)` and `x = u·x[i]`.
+#[inline(always)]
+fn zig_attempt(rng: &mut SimRng) -> (usize, f64, f64) {
+    let bits = rng.next_u64();
+    let i = bits as u8 as usize;
+    let u = (bits >> 12) as f64 * (1.0 / (1u64 << 51) as f64) - 1.0;
+    (i, u, u * f64::from_bits(ZIG_X[i]))
+}
+
+/// The attempts off the fast path (about 1.5%), from attempt `(i, u, x)`
+/// on: the base layer draws from the tail beyond `R` by Marsaglia's method
+/// (exponentials `x = −ln(U₁)/R`, `y = −ln(U₂)` until `2y > x²`, then
+/// `±(R + x)`); any other layer tests the wedge against `exp(−x²/2)` and,
+/// when it rejects, makes a fresh attempt.
+#[cold]
+fn normal_off_fast_path(rng: &mut SimRng, mut i: usize, mut u: f64, mut x: f64) -> f64 {
     loop {
-        let bits = rng.next_u64();
-        let i = bits as u8 as usize;
-        let u = (bits >> 12) as f64 * (1.0 / (1u64 << 51) as f64) - 1.0;
-        let x = u * f64::from_bits(ZIG_X[i]);
-        if x.abs() < f64::from_bits(ZIG_X[i + 1]) {
-            return x;
-        }
         if i == 0 {
-            return normal_tail(rng, u < 0.0);
+            let r = f64::from_bits(ZIG_X[1]);
+            loop {
+                let x = -(1.0 - rng.uniform()).ln() / r;
+                let y = -(1.0 - rng.uniform()).ln();
+                if 2.0 * y > x * x {
+                    return if u < 0.0 { -(r + x) } else { r + x };
+                }
+            }
         }
         let (f_lo, f_hi) = (f64::from_bits(ZIG_F[i]), f64::from_bits(ZIG_F[i + 1]));
         if f_hi + (f_lo - f_hi) * rng.uniform() < (-0.5 * x * x).exp() {
             return x;
         }
-    }
-}
-
-/// The base layer's tail beyond `R` (Marsaglia's method): exponentials
-/// `x = −ln(U₁)/R`, `y = −ln(U₂)` until `2y > x²`, then `±(R + x)`.
-fn normal_tail(rng: &mut SimRng, negative: bool) -> f64 {
-    let r = f64::from_bits(ZIG_X[1]);
-    loop {
-        let x = -(1.0 - rng.uniform()).ln() / r;
-        let y = -(1.0 - rng.uniform()).ln();
-        if 2.0 * y > x * x {
-            return if negative { -(r + x) } else { r + x };
+        (i, u, x) = zig_attempt(rng);
+        if x.abs() < f64::from_bits(ZIG_X[i + 1]) {
+            return x;
         }
     }
 }
@@ -311,6 +329,7 @@ impl LogNormal {
 }
 
 impl Sampler for LogNormal {
+    #[inline]
     fn sample(&self, rng: &mut SimRng) -> f64 {
         self.base.sample(rng).exp()
     }

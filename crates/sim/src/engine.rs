@@ -869,7 +869,7 @@ impl Engine {
         match &mut self.demands {
             DemandStream::Inline(rng) => {
                 let lc = arrivals::lock_model(&self.lc);
-                let mut inline = InlineDemands { lc: &**lc, rng };
+                let mut inline = InlineDemands::new(&**lc, rng);
                 event_loop(node, req_faults, &mut gaps, &mut inline, now, kick_at)
             }
             DemandStream::RunAhead(generator) => {
@@ -1131,9 +1131,8 @@ impl Engine {
 
 /// The open-loop event loop: serves the arrivals of the interval from
 /// `start` to `gaps.t_end` on `node`, taking each arrival's burst and
-/// demands from `demands` and drawing each request's straggle as it
-/// arrives. Returns the kick still owed when `kick_at` falls at or after
-/// the interval end.
+/// demands from `demands`. Returns the kick still owed when `kick_at`
+/// falls at or after the interval end.
 ///
 /// Each turn takes the earliest of the next arrival, the pending kick and
 /// the interval end (an arrival wins a tie with the kick, and both lose
@@ -1141,6 +1140,13 @@ impl Engine {
 /// by then: [`ServiceNode::advance`] retires them in (finish, server)
 /// order, each dispatching at its own finish time, so a completion wins
 /// any tie. Completions take no turn of their own.
+///
+/// An arrival's burst goes to the node in runs ([`Demands::demands`]): each
+/// run is taken from the demand stream in one call, straggled in place in
+/// order, and handed over in one [`ServiceNode::arrive_burst`]. Straggles
+/// draw from their own stream, so taking a run before any of it arrives
+/// draws what drawing each request's demand and straggle as it arrived
+/// did.
 fn event_loop(
     node: &mut ServiceNode,
     req_faults: &mut Option<ReqFaults>,
@@ -1170,11 +1176,15 @@ fn event_loop(
         match what {
             0 => break,
             1 => {
-                let burst = demands.burst();
+                let mut left = demands.burst();
                 next_arrival = gaps.after(t);
-                for _ in 0..burst {
-                    let demand = straggle(req_faults, demands.demand());
-                    node.arrive(t, demand);
+                while left > 0 {
+                    let run = demands.demands(left);
+                    for d in run.iter_mut() {
+                        *d = straggle(req_faults, *d);
+                    }
+                    node.arrive_burst(t, run);
+                    left -= run.len();
                 }
             }
             _ => {

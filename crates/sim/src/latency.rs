@@ -81,15 +81,24 @@ thread_local! {
 /// recorders open on one thread never share it. Dropping a recorder frees
 /// its thread's spare, so a thread keeps one only while the engines or
 /// cluster nodes that record on it live.
-#[derive(Debug, Clone, Default)]
+///
+/// The interval's mean comes from a running sum, added in record order from
+/// −0.0 as `Sum for f64` folds, so it is bit for bit
+/// `samples.iter().sum::<f64>() / n` and closing an interval makes one
+/// pass over the samples, the percentile's selection.
+#[derive(Debug, Clone)]
 pub struct LatencyRecorder {
     samples: Vec<f64>,
+    sum: f64,
 }
 
 impl LatencyRecorder {
     /// Creates an empty recorder.
     pub fn new() -> Self {
-        Self::default()
+        LatencyRecorder {
+            samples: Vec::new(),
+            sum: -0.0,
+        }
     }
 
     /// Records one completed-request latency (seconds).
@@ -106,6 +115,7 @@ impl LatencyRecorder {
             self.borrow_spare();
         }
         self.samples.push(latency_s);
+        self.sum += latency_s;
     }
 
     /// Takes this thread's spare buffer for the interval (it may be empty).
@@ -138,11 +148,17 @@ impl LatencyRecorder {
         if n == 0 {
             return (None, None, 0);
         }
-        let mean = self.samples.iter().sum::<f64>() / n as f64;
+        let mean = std::mem::replace(&mut self.sum, -0.0) / n as f64;
         let tail = percentile(&mut self.samples, p);
         self.samples.clear();
         SPARE.set(std::mem::take(&mut self.samples));
         (tail, Some(mean), n)
+    }
+}
+
+impl Default for LatencyRecorder {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -187,6 +203,29 @@ mod tests {
         // Cleared after take.
         assert!(r.is_empty());
         assert_eq!(r.take_interval(0.95), (None, None, 0));
+    }
+
+    #[test]
+    fn the_running_mean_is_the_summed_mean_bit_for_bit() {
+        let mut rng = crate::SimRng::seed(9);
+        let mut intervals: Vec<Vec<f64>> = (0..50)
+            .map(|_| {
+                let n = 1 + rng.index(3000);
+                (0..n).map(|_| rng.uniform() * 0.02).collect()
+            })
+            .collect();
+        intervals.push(vec![0.0, 3e-3, 1e-5, 7.25e-4]);
+        intervals.push(vec![4.2e-3]);
+        let mut r = LatencyRecorder::new();
+        for samples in &intervals {
+            for &x in samples {
+                r.record(x);
+            }
+            let want = samples.iter().sum::<f64>() / samples.len() as f64;
+            let (_, mean, n) = r.take_interval(0.95);
+            assert_eq!(n, samples.len());
+            assert_eq!(mean.map(f64::to_bits), Some(want.to_bits()), "{n} samples");
+        }
     }
 
     #[test]

@@ -35,12 +35,28 @@
 //!   completion, so it is the pick. It sheds timed-out heads, rescans the
 //!   next completion and starts the next request there, so a completion
 //!   under load costs one pass. Other completions rescan, then dispatch.
-//!   On the benchmark's workloads 82–97% of completions refill.
+//!   On the benchmark's workloads 82–97% of completions refill;
+//! * **bursts** — [`ServiceNode::arrive_burst`] sends a burst's requests
+//!   through [`ServiceNode::arrive`] until one has to wait, then only
+//!   queues the rest. A request waits only when no server can start it at
+//!   that instant, and within the instant nothing frees one: completions
+//!   and kicks take turns of their own, and shedding at a fixed time is
+//!   idempotent. So the rest would wait too, and shed nothing.
 //!
 //! Both tie orders are the ones the linear-scan oracle
 //! [`ReferenceNode`](crate::reference::ReferenceNode) pins, and every
 //! floating-point expression keeps that oracle's operand order, so the
 //! two produce bit-identical traces (`tests/node_equivalence.rs`).
+//!
+//! The picks select by value instead of branching on each comparison:
+//! which of six mixed big/LITTLE servers completes or frees up next is
+//! close to random, so such branches mispredict often. Each candidate is
+//! one integer, its [`rank`]: the integer that `total_cmp` compares for
+//! its key ([`order_key`]) above its index. An integer `min` over ranks
+//! then keeps the earliest finish, ties to the lowest index, and a `max`
+//! the fastest free server, ties to the highest. Both compile to
+//! conditional moves; only dispatch's test of whether a server is free and
+//! past its stall stays a branch.
 //!
 //! Waiting requests sit in a FIFO of fixed-size segments of 128 requests.
 //! The oldest is a ring (a `VecDeque`, so preemption can requeue at its
@@ -188,6 +204,22 @@ pub struct ServerSpec {
     pub slowdown: f64,
 }
 
+/// `x`'s place in the [`f64::total_cmp`] order as an integer: the
+/// transform `total_cmp` applies to both operands before comparing them as
+/// `i64`s, so keys order and tie exactly as their floats do.
+#[inline]
+fn order_key(x: f64) -> i64 {
+    let b = x.to_bits() as i64;
+    b ^ (((b >> 63) as u64) >> 1) as i64
+}
+
+/// Server `i` under order key `key`, as one integer that orders by the key
+/// and then by the index (the sign flip maps `i64` order onto `u64`).
+#[inline]
+fn rank(key: i64, i: usize) -> u128 {
+    u128::from(key as u64 ^ 1 << 63) << 64 | i as u128
+}
+
 /// One server: its service rate, its stall, and the request in flight on
 /// it (the request fields are meaningful only while `busy`).
 #[derive(Debug, Clone, Copy)]
@@ -196,8 +228,8 @@ struct Server {
     speed: f64,
     /// Contention slowdown ≥ 1.
     slowdown: f64,
-    /// Dispatch key, `speed / slowdown`.
-    eff: f64,
+    /// Dispatch key: the [`order_key`] of `speed / slowdown`.
+    eff: i64,
     /// Earliest time this server may start work: the end of a
     /// reconfiguration stall, or its last completion time.
     available_at: f64,
@@ -220,7 +252,7 @@ impl Server {
         Server {
             speed: spec.speed,
             slowdown: spec.slowdown,
-            eff: spec.speed / spec.slowdown,
+            eff: order_key(spec.speed / spec.slowdown),
             available_at,
             busy: false,
             req: Request::new(RequestId(0), 0.0, Demand::new(0.0, 0.0)),
@@ -386,7 +418,7 @@ impl ServiceNode {
             for (s, spec) in self.servers.iter_mut().zip(specs) {
                 s.speed = spec.speed;
                 s.slowdown = spec.slowdown;
-                s.eff = spec.speed / spec.slowdown;
+                s.eff = order_key(spec.speed / spec.slowdown);
                 s.available_at = s.available_at.max(now + stall_s);
                 if !s.busy {
                     continue;
@@ -465,9 +497,7 @@ impl ServiceNode {
     /// Enqueues a request arriving at `now` with the given demand, then
     /// dispatches if a server is free.
     pub fn arrive(&mut self, now: f64, demand: Demand) {
-        let req = Request::new(RequestId(self.next_id), now, demand);
-        self.next_id += 1;
-        self.interval_arrivals += 1;
+        let req = self.admit(now, demand);
         if !self.queue.is_empty() {
             self.queue.push_back(req);
             self.dispatch(now);
@@ -479,6 +509,30 @@ impl ServiceNode {
             Some(i) => self.start(i, req, now),
             None => self.queue.push_back(req),
         }
+    }
+
+    /// Enqueues requests arriving together at `now` with the given demands,
+    /// in order: what [`ServiceNode::arrive`] for each in turn would do.
+    /// Once one has to wait, the rest only queue (see the module docs).
+    pub fn arrive_burst(&mut self, now: f64, demands: &[Demand]) {
+        for (k, &demand) in demands.iter().enumerate() {
+            self.arrive(now, demand);
+            if !self.queue.is_empty() {
+                for &demand in &demands[k + 1..] {
+                    let req = self.admit(now, demand);
+                    self.queue.push_back(req);
+                }
+                return;
+            }
+        }
+    }
+
+    /// The request arriving at `now` with `demand`, counted as an arrival.
+    fn admit(&mut self, now: f64, demand: Demand) -> Request {
+        let req = Request::new(RequestId(self.next_id), now, demand);
+        self.next_id += 1;
+        self.interval_arrivals += 1;
+        req
     }
 
     /// Earliest pending completion time, if any request is in flight.
@@ -542,13 +596,16 @@ impl ServiceNode {
     /// The busy server that completes first: smallest finish under
     /// `total_cmp`, ties to the lowest index.
     fn earliest_completion(&self) -> Option<usize> {
-        let mut best: Option<(usize, f64)> = None;
-        for (i, s) in self.servers.iter().enumerate() {
-            if s.busy && best.map_or(true, |(_, f)| s.finish.total_cmp(&f).is_lt()) {
-                best = Some((i, s.finish));
-            }
+        if self.in_flight == 0 {
+            return None;
         }
-        best.map(|(i, _)| i)
+        let mut best = u128::MAX;
+        for (i, s) in self.servers.iter().enumerate() {
+            // An idle server ranks after every busy one.
+            let key = order_key(s.finish).max(if s.busy { i64::MIN } else { i64::MAX });
+            best = best.min(rank(key, i));
+        }
+        Some(best as usize)
     }
 
     /// The free server whose stall has ended by `now` with the largest
@@ -557,16 +614,15 @@ impl ServiceNode {
         if self.in_flight == self.servers.len() {
             return None;
         }
-        let mut best: Option<(usize, f64)> = None;
+        let mut best = 0;
         for (i, s) in self.servers.iter().enumerate() {
-            if !s.busy
-                && s.available_at <= now
-                && best.map_or(true, |(_, e)| s.eff.total_cmp(&e).is_ge())
-            {
-                best = Some((i, s.eff));
-            }
+            // An ineligible server's key, `i64::MIN`, is below every
+            // speed's, so its rank is below every eligible server's.
+            let eligible = !s.busy & (s.available_at <= now);
+            let key = s.eff.min(if eligible { i64::MAX } else { i64::MIN });
+            best = best.max(rank(key, i));
         }
-        best.map(|(i, _)| i)
+        (best >> 64 != 0).then_some(best as usize)
     }
 
     /// Dispatches queued requests to free servers (fastest server first),
@@ -603,18 +659,12 @@ impl ServiceNode {
         s.req = req;
         s.started = now;
         s.finish = now + s.service_time();
-        let finish = s.finish;
+        let key = order_key(s.finish);
         self.in_flight += 1;
-        let first = match self.next {
-            Some(j) => finish
-                .total_cmp(&self.servers[j].finish)
-                .then(i.cmp(&j))
-                .is_lt(),
-            None => true,
-        };
-        if first {
-            self.next = Some(i);
-        }
+        // With none cached, `j == i` and `i` is the pick.
+        let j = self.next.unwrap_or(i);
+        let key_j = order_key(self.servers[j].finish);
+        self.next = Some(rank(key, i).min(rank(key_j, j)) as usize);
     }
 
     /// Called by the engine when servers stalled until `t` become free, to
@@ -1024,6 +1074,36 @@ mod tests {
         assert_eq!(n.total_completed(), 0);
         n.advance(1.0);
         assert_eq!(n.total_completed(), 1);
+    }
+
+    #[test]
+    fn ranks_order_as_total_cmp_then_index() {
+        let special = [
+            0.0,
+            -0.0,
+            1e-310,
+            -1e-310,
+            1.5,
+            -1.5,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let mut rng = crate::SimRng::seed(11);
+        let mut xs: Vec<f64> = special.to_vec();
+        xs.extend((0..200).map(|_| f64::from_bits(rng.next_u64())));
+        for &a in &xs {
+            for &b in &xs {
+                assert_eq!(
+                    order_key(a).cmp(&order_key(b)),
+                    a.total_cmp(&b),
+                    "{a} vs {b}"
+                );
+                for (i, j) in [(0, 5), (5, 0), (3, 3)] {
+                    let want = a.total_cmp(&b).then(i.cmp(&j));
+                    assert_eq!(rank(order_key(a), i).cmp(&rank(order_key(b), j)), want);
+                }
+            }
+        }
     }
 
     /// One step of a [`Fifo`] test sequence.

@@ -17,14 +17,17 @@ use crate::rng::SimRng;
 ///
 /// In an open loop the engine may hand its demand stream to a generator
 /// thread of its own, which calls [`LcModel::sample_burst`] and
-/// [`LcModel::sample_demand`] from there, under a lock the engine shares
+/// [`LcModel::fill_demands`] from there, under a lock the engine shares
 /// with it (so the `Send` bound is enough; no `Sync` is needed). The
 /// generator runs up to one ring of chunks (16 × 512 demands) ahead of the
 /// event loop, across interval boundaries, so it may make draws that a run
-/// never uses, and an engine dropped mid-run drops them. Those two methods
+/// never uses, and an engine dropped mid-run drops them. The draw methods
 /// must therefore draw only from the `rng` passed in: a model that kept its
 /// own randomness, or read thread-local state, would give different bits
-/// depending on where and when the draws ran.
+/// depending on where and when the draws ran. For the same reason
+/// [`LcModel::fill_demands`] must draw exactly what as many
+/// [`LcModel::sample_demand`] calls would: the loop and the generator split
+/// one burst into different runs.
 ///
 /// [`LcModel::service_speed`] must be a pure function of its arguments:
 /// the engine tabulates it for every DVFS level of both clusters when it is
@@ -44,6 +47,17 @@ pub trait LcModel: std::fmt::Debug + Send {
 
     /// Draws the demand of one request.
     fn sample_demand(&self, rng: &mut SimRng) -> Demand;
+
+    /// Draws the demands of `out.len()` requests into `out`, in order: bit
+    /// for bit what as many [`LcModel::sample_demand`] calls would draw.
+    /// The open-loop engine draws every arrival burst's demands through
+    /// this, many per call. The default makes those calls; a model
+    /// overrides it only to draw the same values without a call each.
+    fn fill_demands(&self, rng: &mut SimRng, out: &mut [Demand]) {
+        for d in out {
+            *d = self.sample_demand(rng);
+        }
+    }
 
     /// Compute speed of one core of `kind` at `freq`, in work units/second.
     fn service_speed(&self, kind: CoreKind, freq: Frequency) -> f64;

@@ -15,6 +15,12 @@
 //! remaps, a rescale and a revocation land mid-spike, and a tie-storm arm
 //! keeps every time on a dyadic grid so that completions, arrivals, stall
 //! ends and timeouts coincide exactly.
+//!
+//! Bursts drive [`ServiceNode::arrive_burst`] while the oracle takes the
+//! same requests one [`ReferenceNode::arrive`] at a time. The default,
+//! timeout and tie-storm arms mix them in, some longer than the engine's
+//! 64-demand runs, and the tie storm lands them exactly at stall ends,
+//! timeout boundaries and completion instants.
 
 use hipster_platform::{CoreKind, Frequency};
 use hipster_sim::reference::ReferenceNode;
@@ -26,6 +32,11 @@ use proptest::prelude::*;
 enum Op {
     /// Let `dt` pass, processing completions, then submit a request.
     Arrive { dt: f64, work: f64, mem: f64 },
+    /// Let `dt` pass, processing completions, then submit requests
+    /// arriving together: one `arrive_burst` on the node under test, one
+    /// `arrive` each on the oracle. Like the engine's event loop, a burst
+    /// due at the pending kick's instant arrives before the kick.
+    Burst { dt: f64, demands: Vec<Demand> },
     /// Let `dt` pass, processing completions.
     Advance { dt: f64 },
     /// Preempting reconfiguration to `n` servers drawn from `seed`
@@ -151,19 +162,60 @@ fn at_scale_ops() -> impl Strategy<Value = Vec<Op>> {
 /// harness's 1 µs nudge for empty intervals.
 fn tie_storm_ops() -> impl Strategy<Value = Vec<Op>> {
     let sixteenths = |k: u32| f64::from(k) / 16.0;
+    let demand = move || {
+        (1u32..16, 0u32..4)
+            .prop_map(move |(work, mem)| Demand::new(f64::from(work) / 8.0, sixteenths(mem)))
+    };
     let arrival = move || {
-        (0u32..4, 1u32..16, 0u32..4).prop_map(move |(dt, work, mem)| {
+        (0u32..4, demand()).prop_map(move |(dt, d)| {
             vec![Op::Arrive {
                 dt: sixteenths(dt),
-                work: f64::from(work) / 8.0,
-                mem: sixteenths(mem),
+                work: d.work,
+                mem: d.mem_s,
             }]
         })
     };
+    let burst = move || {
+        (0u32..4, prop::collection::vec(demand(), 1..100)).prop_map(move |(dt, demands)| {
+            vec![Op::Burst {
+                dt: sixteenths(dt),
+                demands,
+            }]
+        })
+    };
+    // A stalled remap, requests that queue during the stall, then a burst
+    // at the stall's end (before its kick) or when the queued requests'
+    // age reaches the harness's 0.75 s timeout (12/16) or passes it.
+    let after_a_stall = (
+        (1usize..6, 0u64..8, 1u32..16),
+        prop::collection::vec(demand(), 0..4),
+        (0usize..3, prop::collection::vec(demand(), 1..80)),
+    )
+        .prop_map(move |((n, seed, stall), queued, (at, demands))| {
+            let mut ops = vec![Op::Remap {
+                n,
+                seed,
+                stall: sixteenths(stall),
+                mixed: false,
+            }];
+            ops.extend(queued.into_iter().map(|d| Op::Arrive {
+                dt: 0.0,
+                work: d.work,
+                mem: d.mem_s,
+            }));
+            ops.push(Op::Burst {
+                dt: sixteenths([stall, 12, 13][at]),
+                demands,
+            });
+            ops
+        });
     let step = prop_oneof![
         arrival(),
         arrival(),
         arrival(),
+        burst(),
+        burst(),
+        after_a_stall,
         (0u32..8).prop_map(move |dt| vec![Op::Advance { dt: sixteenths(dt) }]),
         (1usize..6, 0u64..8, 0u32..4).prop_map(move |(n, seed, stall)| vec![Op::Remap {
             n,
@@ -243,7 +295,10 @@ fn spike_ops() -> impl Strategy<Value = Vec<Op>> {
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
+    let demand = (0.1f64..4.0, 0.0f64..0.5).prop_map(|(work, mem)| Demand::new(work, mem));
     prop_oneof![
+        (0.0f64..0.4, prop::collection::vec(demand, 1..80))
+            .prop_map(|(dt, demands)| Op::Burst { dt, demands }),
         (0.0f64..0.4, 0.1f64..4.0, 0.0f64..0.5).prop_map(|(dt, work, mem)| Op::Arrive {
             dt,
             work,
@@ -321,6 +376,17 @@ fn run_differential(ops: &[Op], timeout: Option<f64>) -> Peaks {
                 let d = Demand::new(work, mem);
                 new.arrive(now, d);
                 old.arrive(now, d);
+            }
+            Op::Burst { dt, ref demands } => {
+                now += dt;
+                if kick_at.is_some_and(|k| k < now) {
+                    deliver_kick(&mut new, &mut old, &mut kick_at, now);
+                }
+                advance_both(&mut new, &mut old, now);
+                new.arrive_burst(now, demands);
+                for &d in demands {
+                    old.arrive(now, d);
+                }
             }
             Op::Advance { dt } => {
                 now += dt;
@@ -454,6 +520,54 @@ fn sixty_four_server_ladder_runs_full() {
         .chain([Op::Interval])
         .collect();
     assert_eq!(run_differential(&ops, None).in_flight, 64);
+}
+
+/// Witness for the burst arms, on the tie-storm grid with its timeout:
+/// one burst at a stall's end, while a request that arrived during the
+/// stall waits and four servers are free again, one at a completion
+/// instant that is longer than a 64-demand run, then two at the timeout
+/// boundary (the oldest waiting request exactly 0.75 s old, then older).
+#[test]
+fn bursts_land_at_a_stall_end_a_completion_and_the_timeout() {
+    let unit = |n: usize| vec![Demand::new(1.0, 0.0); n];
+    let ops = [
+        Op::Remap {
+            n: 4,
+            seed: 0,
+            stall: 0.25,
+            mixed: false,
+        },
+        Op::Arrive {
+            dt: 0.0,
+            work: 1.0,
+            mem: 0.0,
+        },
+        // t = 0.25: the stall ends; all four requests start.
+        Op::Burst {
+            dt: 0.25,
+            demands: unit(3),
+        },
+        // t = 0.5: the speed-4 server completes, takes one request of the
+        // burst, and the other 69 queue.
+        Op::Burst {
+            dt: 0.25,
+            demands: unit(70),
+        },
+        // t = 1.25: the burst of 0.5 is exactly at the timeout; t = 1.3125:
+        // past it.
+        Op::Burst {
+            dt: 0.75,
+            demands: unit(2),
+        },
+        Op::Burst {
+            dt: 0.0625,
+            demands: unit(2),
+        },
+        Op::Interval,
+    ];
+    let peaks = run_differential(&ops, Some(0.75));
+    assert_eq!(peaks.in_flight, 4);
+    assert!(peaks.queued >= 69, "{peaks:?}");
 }
 
 proptest! {

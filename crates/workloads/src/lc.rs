@@ -81,6 +81,13 @@ impl LcModel for LcWorkload {
         Demand::new(self.work.sample(rng), self.mem_s)
     }
 
+    fn fill_demands(&self, rng: &mut SimRng, out: &mut [Demand]) {
+        // The default's loop, with the lognormal draw inlined into it.
+        for d in out {
+            *d = Demand::new(self.work.sample(rng), self.mem_s);
+        }
+    }
+
     fn service_speed(&self, kind: CoreKind, freq: Frequency) -> f64 {
         let scale = freq.ratio_to(self.big_anchor);
         match kind {
@@ -344,6 +351,29 @@ mod tests {
                 let u = 1.0 - old.uniform();
                 let want = 1 + (u.ln() / (1.0 - p).ln()).floor() as usize;
                 assert_eq!(w.sample_burst(&mut rng), want, "mean {mean}");
+            }
+        }
+    }
+
+    #[test]
+    fn filled_demands_are_the_sampled_demands_bit_for_bit() {
+        let models = [
+            crate::memcached(),
+            crate::memcached_bursty(),
+            crate::web_search(),
+            LcWorkload::builder("fixed").work(50.0, 0.0).build(),
+        ];
+        for w in &models {
+            for len in [0, 1, 63, 64, 65, 1000] {
+                let (mut rng, mut one_by_one) = (SimRng::seed(5), SimRng::seed(5));
+                let mut filled = vec![Demand::new(0.0, 0.0); len];
+                w.fill_demands(&mut rng, &mut filled);
+                for (k, d) in filled.iter().enumerate() {
+                    let want = w.sample_demand(&mut one_by_one);
+                    let bits = |d: &Demand| (d.work.to_bits(), d.mem_s.to_bits());
+                    assert_eq!(bits(d), bits(&want), "{}, demand {k} of {len}", w.name());
+                }
+                assert_eq!(rng.next_u64(), one_by_one.next_u64(), "{}", w.name());
             }
         }
     }
